@@ -11,8 +11,9 @@
 //!    shard order, at a staggered arrival time — to one facility. Three
 //!    policies ship: [`PlacementPolicyKind::RoundRobin`] (capacity-aware
 //!    rotation), [`PlacementPolicyKind::LeastWait`] (queue-aware: asks
-//!    every facility's [`BatchScheduler`] when the job *would* start and
-//!    picks the earliest), and [`PlacementPolicyKind::DataLocality`]
+//!    every facility when the job *would* start, from a projection of its
+//!    [`BatchScheduler`] cached until that queue changes, and picks the
+//!    earliest), and [`PlacementPolicyKind::DataLocality`]
 //!    (minimises inter-site movement of the campaign's input data over
 //!    the federation's data fabric).
 //! 2. **Charging.** The chosen facility's batch scheduler is charged the
@@ -69,9 +70,10 @@ use crate::fleet::{
 };
 use crate::ledger::{CampaignEvent, FleetLedger};
 use evoflow_agents::Pattern;
-use evoflow_facility::{presets, BatchScheduler, Facility, FacilityKind, JobId};
+use evoflow_facility::{presets, BatchScheduler, Facility, FacilityKind, JobId, StartProjection};
 use evoflow_sim::{fnv1a, FacilityOutage, RngRegistry, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// The built-in placement policies.
@@ -79,8 +81,8 @@ use std::collections::BTreeMap;
 pub enum PlacementPolicyKind {
     /// Rotate over capacity-feasible facilities in site order.
     RoundRobin,
-    /// Queue-aware: ask each facility's scheduler when the job would
-    /// start ([`BatchScheduler::estimate_start`]) and pick the earliest.
+    /// Queue-aware: ask each facility when the job would start
+    /// ([`Site::estimate_start`]) and pick the earliest.
     LeastWait,
     /// Minimise inter-site data movement: place nearest (in transfer
     /// time) to the campaign's data home.
@@ -281,6 +283,53 @@ pub struct Site {
     bytes_in: u128,
     job_owner: BTreeMap<JobId, usize>,
     rerouted_away: usize,
+    /// `scheduler`'s start projection, built by the first query after
+    /// the scheduler last changed.
+    projection: OnceCell<StartProjection>,
+}
+
+impl Site {
+    fn new(spec: &SiteSpec) -> Self {
+        Site {
+            spec: spec.clone(),
+            scheduler: BatchScheduler::new(spec.nodes),
+            down: false,
+            bytes_in: 0,
+            job_owner: BTreeMap::new(),
+            rerouted_away: 0,
+            projection: OnceCell::new(),
+        }
+    }
+
+    /// When a job of `nodes`×`walltime` arriving at `at` would start
+    /// here: [`BatchScheduler::estimate_start`], answered from a
+    /// projection cached until the scheduler changes, so probing every
+    /// site for every placement simulates each queue once per change
+    /// rather than once per probe.
+    pub fn estimate_start(
+        &self,
+        nodes: u64,
+        walltime: SimDuration,
+        at: SimTime,
+    ) -> Option<SimTime> {
+        let start = self
+            .projection
+            .get_or_init(|| self.scheduler.projection())
+            .estimate_start(nodes, walltime, at);
+        debug_assert_eq!(
+            start,
+            self.scheduler.estimate_start(nodes, walltime, at),
+            "stale start projection at {}",
+            self.spec.name
+        );
+        start
+    }
+
+    /// Drop the cached projection; call after every change to
+    /// `scheduler`.
+    fn scheduler_changed(&mut self) {
+        self.projection.take();
+    }
 }
 
 /// One placement request, as policies see it.
@@ -338,7 +387,8 @@ impl PlacementPolicy for RoundRobin {
 }
 
 /// Queue-aware least-wait: exact start-time estimates from each
-/// candidate's scheduler; earliest start wins, site order breaks ties.
+/// candidate ([`Site::estimate_start`]); earliest start wins, site order
+/// breaks ties.
 struct LeastWait;
 
 impl PlacementPolicy for LeastWait {
@@ -358,7 +408,6 @@ impl PlacementPolicy for LeastWait {
             .copied()
             .min_by_key(|&i| {
                 sites[i]
-                    .scheduler
                     .estimate_start(req.demand.nodes, req.demand.walltime, req.arrival)
                     .map_or(u64::MAX, SimTime::as_nanos)
             })
@@ -391,7 +440,6 @@ impl PlacementPolicy for DataLocality {
                     .estimate_transfer(req.data_home, &sites[i].spec.name, req.demand.input_gb)
                     .map_or(u64::MAX, |p| p.duration.as_nanos());
                 let start_nanos = sites[i]
-                    .scheduler
                     .estimate_start(req.demand.nodes, req.demand.walltime, req.arrival)
                     .map_or(u64::MAX, SimTime::as_nanos);
                 (move_nanos, start_nanos)
@@ -638,6 +686,7 @@ impl PlacementState {
         let id = site
             .scheduler
             .submit(demand.nodes, demand.walltime, arrival);
+        site.scheduler_changed();
         site.job_owner.insert(id, campaign);
         let dest = site.spec.name.clone();
         self.events.push(CampaignEvent::CampaignPlaced {
@@ -679,10 +728,12 @@ impl PlacementState {
         if self.sites[s].down {
             return Ok(());
         }
-        self.sites[s].down = true;
-        self.sites[s].scheduler.advance_to(at);
-        let orphans = self.sites[s].scheduler.drain_queued();
-        self.sites[s].rerouted_away = orphans.len();
+        let site = &mut self.sites[s];
+        site.down = true;
+        site.scheduler.advance_to(at);
+        let orphans = site.scheduler.drain_queued();
+        site.scheduler_changed();
+        site.rerouted_away = orphans.len();
         let from = self.sites[s].spec.name.clone();
         self.events.push(CampaignEvent::OutageStruck {
             site: from.clone().into(),
@@ -733,18 +784,7 @@ fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError
 
     let n = cfg.fleet.campaigns.len();
     let mut state = PlacementState {
-        sites: cfg
-            .sites
-            .iter()
-            .map(|s| Site {
-                spec: s.clone(),
-                scheduler: BatchScheduler::new(s.nodes),
-                down: false,
-                bytes_in: 0,
-                job_owner: BTreeMap::new(),
-                rerouted_away: 0,
-            })
-            .collect(),
+        sites: cfg.sites.iter().map(Site::new).collect(),
         federation,
         demands: cfg
             .fleet
@@ -784,6 +824,7 @@ fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError
     };
     for site in &mut state.sites {
         let end = site.scheduler.drain();
+        site.scheduler_changed();
         if !site.scheduler.finished().is_empty() {
             makespan = makespan.max(end);
         }
@@ -1148,6 +1189,50 @@ mod tests {
             }
         }
         assert!(hit, "no seed in 0..32 produced a re-route");
+    }
+
+    #[test]
+    fn cached_projections_follow_outage_reroutes() {
+        // Three contended sites, so re-routed work still has a choice.
+        // Debug builds check every placement query against a fresh
+        // `BatchScheduler::estimate_start`; the outage drains a site and
+        // re-routes its queue, changing the survivors mid-drain.
+        let space = space();
+        for policy in [
+            PlacementPolicyKind::LeastWait,
+            PlacementPolicyKind::DataLocality,
+        ] {
+            let mut rerouted = 0;
+            for seed in 0..16u64 {
+                let mut cfg = contended_config(policy).with_outage_seed(seed);
+                cfg.sites
+                    .push(SiteSpec::new("site-c", FacilityKind::Hpc).with_nodes(24));
+                let report = run_campaign_fleet_federated(&space, &cfg).unwrap();
+                let outage = report.outage.expect("outage derives for 8 campaigns");
+                let downed = &report.facilities[outage.site as usize];
+                assert_eq!(
+                    report.placements.iter().filter(|p| p.rerouted).count(),
+                    downed.rerouted_away
+                );
+                rerouted += downed.rerouted_away;
+            }
+            assert!(rerouted > 0, "{policy:?}: no seed re-routed queued work");
+        }
+    }
+
+    #[test]
+    fn arrivals_at_the_saturated_clock_still_place() {
+        // The third campaign arrives at `SimTime::MAX`, where its job's
+        // end saturates onto its start.
+        let mut f = FleetConfig::new(9);
+        f.push_cell(Cell::traditional_wms(), 3);
+        for policy in PlacementPolicyKind::all() {
+            let mut cfg = FederatedConfig::standard(f.clone(), policy);
+            cfg.inter_arrival = SimDuration::from_nanos(u64::MAX / 2 + 1);
+            let report = run_campaign_fleet_federated(&space(), &cfg).expect("sites have room");
+            assert_eq!(report.placements.len(), 3);
+            assert_eq!(report.placements[2].start_hours, SimTime::MAX.as_hours());
+        }
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! queue-wait component of every campaign that touches an HPC center. The
 //! scheduler is a pure data structure over simulated time: `submit` jobs,
 //! then `advance_to(t)` processes starts/completions deterministically.
+//! A [`StartProjection`] records the scheduling passes ahead once, so
+//! that "when would this job start?" is a lookup, not a re-simulation.
 
 use evoflow_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -138,49 +140,33 @@ impl BatchScheduler {
             walltime,
             submitted: at,
         });
-        self.schedule();
+        self.schedule(|_| {});
         id
     }
 
     /// Advance the clock to `t`, completing jobs and starting queued ones.
     pub fn advance_to(&mut self, t: SimTime) {
         while self.now < t {
-            // Next completion before t?
-            let next_end = self.running.iter().map(|r| r.ends).min();
-            match next_end {
-                Some(end) if end <= t => {
-                    self.now = end;
-                    let done: Vec<Running> = {
-                        let (done, keep): (Vec<Running>, Vec<Running>) =
-                            self.running.drain(..).partition(|r| r.ends <= end);
-                        self.running = keep;
-                        done
-                    };
-                    for r in done {
-                        self.finished.push(Finished {
-                            job: r.job,
-                            started: r.started,
-                            ended: r.ends,
-                        });
-                    }
-                    self.schedule();
-                }
-                _ => {
-                    self.now = t;
-                }
+            match self.next_end() {
+                Some(end) if end <= t => self.complete_through(end, |_| {}),
+                _ => self.now = t,
             }
         }
-        self.schedule();
+        self.schedule(|_| {});
     }
 
     /// Predict when a hypothetical job of `nodes`×`walltime` submitted at
-    /// `at` would start, without perturbing the scheduler. Exact: runs the
-    /// FCFS + backfill machinery on a clone, so the estimate is the start
-    /// time `submit` would actually produce. The basis of queue-aware
+    /// `at` would start, without perturbing the scheduler: exactly the
+    /// start `submit` would produce. The basis of queue-aware
     /// (least-wait) placement policies.
     ///
-    /// Returns `None` when the job can never run (`nodes` exceeds the
-    /// cluster).
+    /// Shorthand for `self.projection().estimate_start(..)`, so each call
+    /// simulates the whole queue once. A caller probing the same
+    /// scheduler more than once should keep the [`StartProjection`]
+    /// instead and rebuild it only after the scheduler changes.
+    ///
+    /// Returns `None` when the job can never run (`nodes` is zero or
+    /// exceeds the cluster).
     #[must_use]
     pub fn estimate_start(
         &self,
@@ -188,20 +174,40 @@ impl BatchScheduler {
         walltime: SimDuration,
         at: SimTime,
     ) -> Option<SimTime> {
-        if nodes > self.total_nodes || nodes == 0 {
-            return None;
+        self.projection().estimate_start(nodes, walltime, at)
+    }
+
+    /// Record every scheduling pass from the current state until the
+    /// queue and machine are empty, for [`StartProjection::estimate_start`]
+    /// to answer any number of start-time queries against.
+    ///
+    /// Drains a copy of the queue and running set (never the finished
+    /// history): O(jobs × (queue + running · log running)) once, after
+    /// which each query is a binary search plus a scan of the passes until
+    /// the job's start.
+    #[must_use]
+    pub fn projection(&self) -> StartProjection {
+        let mut sim = BatchScheduler {
+            total_nodes: self.total_nodes,
+            queue: self.queue.clone(),
+            running: self.running.clone(),
+            finished: Vec::new(),
+            next_id: self.next_id,
+            now: self.now,
+        };
+        let mut passes = Vec::new();
+        sim.schedule(|p| passes.push(p));
+        let mut rests = vec![passes.len() - 1];
+        while let Some(end) = sim.next_end() {
+            sim.complete_through(end, |p| passes.push(p));
+            rests.push(passes.len() - 1);
         }
-        let mut probe = self.clone();
-        // The probe never reads completed history; dropping it keeps the
-        // estimate O(queue + running) even on long-lived schedulers.
-        probe.finished.clear();
-        let id = probe.submit(nodes, walltime, at);
-        probe.drain();
-        probe
-            .finished
-            .iter()
-            .find(|f| f.job.id == id)
-            .map(|f| f.started)
+        StartProjection {
+            total_nodes: self.total_nodes,
+            now: self.now,
+            passes,
+            rests,
+        }
     }
 
     /// Remove and return every job still waiting in the queue (submitted
@@ -216,58 +222,77 @@ impl BatchScheduler {
     /// returns the time the last job completes.
     pub fn drain(&mut self) -> SimTime {
         while !self.queue.is_empty() || !self.running.is_empty() {
-            let next = self
-                .running
-                .iter()
-                .map(|r| r.ends)
-                .min()
-                .unwrap_or(self.now);
-            self.advance_to(next.max(self.now + SimDuration::from_nanos(1)));
+            let next = self.next_end().unwrap_or(self.now);
+            let step = next.max(self.now + SimDuration::from_nanos(1));
+            if step > self.now {
+                self.advance_to(step);
+            } else {
+                // The clock is saturated at `SimTime::MAX` and cannot
+                // advance, so every running job ends at this instant:
+                // complete them here instead of waiting for a later one.
+                self.complete_through(self.now, |_| {});
+            }
         }
         self.now
     }
 
+    /// Earliest completion among running jobs.
+    fn next_end(&self) -> Option<SimTime> {
+        self.running.iter().map(|r| r.ends).min()
+    }
+
+    /// Set the clock to `end`, move every running job that ends by then
+    /// to the finished history (in start order), and schedule.
+    fn complete_through(&mut self, end: SimTime, record: impl FnMut(Pass)) {
+        self.now = end;
+        let finished = &mut self.finished;
+        self.running.retain(|r| {
+            let done = r.ends <= end;
+            if done {
+                finished.push(Finished {
+                    job: r.job.clone(),
+                    started: r.started,
+                    ended: r.ends,
+                });
+            }
+            !done
+        });
+        self.schedule(record);
+    }
+
     /// FCFS head start + EASY backfill: the head of the queue reserves the
     /// earliest time enough nodes free up; later jobs may jump ahead only
-    /// if they fit in the free nodes *and* finish before that reservation.
-    fn schedule(&mut self) {
+    /// if [`admits`] lets them. Passes repeat until one starts nothing,
+    /// and each is handed to `record` once its starts are placed.
+    fn schedule(&mut self, mut record: impl FnMut(Pass)) {
+        let mut free = self.nodes_free();
         loop {
             let mut started_any = false;
 
-            // Start the head if it fits.
+            // Start the head while it fits.
             while let Some(head) = self.queue.front() {
-                if head.nodes <= self.nodes_free() {
-                    let job = self.queue.pop_front().expect("head exists");
-                    let ends = self.now + job.walltime;
-                    self.running.push(Running {
-                        started: self.now,
-                        ends,
-                        job,
-                    });
-                    started_any = true;
-                } else {
+                if !admits(head.nodes, head.walltime, self.now, free, None) {
                     break;
                 }
+                let job = self.queue.pop_front().expect("head exists");
+                free -= job.nodes;
+                self.start(job);
+                started_any = true;
             }
 
             // Backfill behind a blocked head.
-            if let Some(head_nodes) = self.queue.front().map(|h| h.nodes) {
-                let shadow = self.reservation_time(head_nodes);
-                let free = self.nodes_free();
+            let blocked = self.queue.front().map(|head| Reservation {
+                shadow: self.reservation_time(head.nodes, free),
+                spare: free.saturating_sub(head.nodes),
+            });
+            if blocked.is_some() {
                 let mut i = 1;
                 while i < self.queue.len() {
                     let cand = &self.queue[i];
-                    let fits = cand.nodes <= self.nodes_free();
-                    let harmless = self.now + cand.walltime <= shadow
-                        || cand.nodes <= free.saturating_sub(head_nodes);
-                    if fits && harmless {
+                    if admits(cand.nodes, cand.walltime, self.now, free, blocked) {
                         let job = self.queue.remove(i).expect("index valid");
-                        let ends = self.now + job.walltime;
-                        self.running.push(Running {
-                            started: self.now,
-                            ends,
-                            job,
-                        });
+                        free -= job.nodes;
+                        self.start(job);
                         started_any = true;
                     } else {
                         i += 1;
@@ -275,19 +300,32 @@ impl BatchScheduler {
                 }
             }
 
+            record(Pass {
+                clock: self.now,
+                free,
+                blocked,
+            });
             if !started_any {
                 break;
             }
         }
     }
 
-    /// Earliest time at which `nodes` will be free, assuming running jobs
-    /// complete at their walltime.
-    fn reservation_time(&self, nodes: u64) -> SimTime {
+    /// Start `job` now.
+    fn start(&mut self, job: Job) {
+        self.running.push(Running {
+            started: self.now,
+            ends: self.now + job.walltime,
+            job,
+        });
+    }
+
+    /// Earliest time at which `nodes` will be free, given `free` idle now
+    /// and running jobs completing at their walltime.
+    fn reservation_time(&self, nodes: u64, mut free: u64) -> SimTime {
         let mut ends: Vec<(SimTime, u64)> =
             self.running.iter().map(|r| (r.ends, r.job.nodes)).collect();
         ends.sort();
-        let mut free = self.nodes_free();
         for (t, n) in ends {
             if free >= nodes {
                 break;
@@ -313,12 +351,111 @@ impl BatchScheduler {
     }
 }
 
+/// The reservation a blocked queue head holds during one scheduling pass.
+#[derive(Debug, Clone, Copy)]
+struct Reservation {
+    /// When enough nodes free up for the head (its shadow time).
+    shadow: SimTime,
+    /// Nodes idle at the start of backfill that the head does not need:
+    /// a job no wider than this can never delay it.
+    spare: u64,
+}
+
+/// One scheduling pass, as seen by a job waiting at the queue's tail: it
+/// is the last backfill candidate, so it meets the pass's leftovers.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    /// Scheduler clock during the pass.
+    clock: SimTime,
+    /// Nodes still free once the pass's starts are placed.
+    free: u64,
+    /// The blocked head's reservation; `None` once the queue is empty.
+    blocked: Option<Reservation>,
+}
+
+/// The EASY admission test: may a queued job of `nodes`×`walltime` start
+/// at `now` with `free` nodes idle? At the head of the queue
+/// (`blocked` is `None`) it only has to fit; behind a blocked head it must
+/// also leave the head's reservation intact, by finishing by the shadow
+/// time or by fitting in the head's spare nodes.
+fn admits(
+    nodes: u64,
+    walltime: SimDuration,
+    now: SimTime,
+    free: u64,
+    blocked: Option<Reservation>,
+) -> bool {
+    nodes <= free && blocked.is_none_or(|r| now + walltime <= r.shadow || nodes <= r.spare)
+}
+
+/// Every scheduling pass a [`BatchScheduler`] runs from one state until
+/// it drains, built by [`BatchScheduler::projection`]. Answers any number
+/// of start-time queries against that state without re-simulating it; it
+/// goes stale as soon as the scheduler changes.
+///
+/// Exact, because a job submitted at the queue's tail changes nothing
+/// until it starts: in every pass it is the last backfill candidate, and
+/// once it reaches the head nothing waits behind it. So the passes of the
+/// drain without it are the passes it would see, and it starts in the
+/// first one whose EASY admission test, the same test the scheduler
+/// applies to its own queue, lets it in.
+#[derive(Debug, Clone)]
+pub struct StartProjection {
+    total_nodes: u64,
+    now: SimTime,
+    passes: Vec<Pass>,
+    /// For each state the scheduler comes to rest in (the current one,
+    /// then the one after each batch of completions), the index of its
+    /// last pass: the first a job submitted in that state meets.
+    rests: Vec<usize>,
+}
+
+impl StartProjection {
+    /// When a job of `nodes`×`walltime` submitted at `at` would start:
+    /// the same answer as [`BatchScheduler::estimate_start`] on the
+    /// scheduler this projection was taken from.
+    #[must_use]
+    pub fn estimate_start(
+        &self,
+        nodes: u64,
+        walltime: SimDuration,
+        at: SimTime,
+    ) -> Option<SimTime> {
+        if nodes > self.total_nodes || nodes == 0 {
+            return None;
+        }
+        // `submit` first runs `advance_to(at)`: every completion batch
+        // before `at`, and, if the clock has to move, the first batch at
+        // `at` itself. Zero-walltime jobs that batch starts stay running
+        // until the next advance, so later batches at `at` come after
+        // the submission.
+        let at = at.max(self.now);
+        let batches = &self.rests[1..];
+        let mut rest = batches.partition_point(|&p| self.passes[p].clock < at);
+        if at > self.now
+            && batches
+                .get(rest)
+                .is_some_and(|&p| self.passes[p].clock == at)
+        {
+            rest += 1;
+        }
+        self.passes[self.rests[rest]..].iter().find_map(|p| {
+            let clock = p.clock.max(at);
+            admits(nodes, walltime, clock, p.free, p.blocked).then_some(clock)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn h(x: u64) -> SimDuration {
         SimDuration::from_hours(x)
+    }
+
+    fn t(x: u64) -> SimTime {
+        SimTime::ZERO + h(x)
     }
 
     #[test]
@@ -410,6 +547,53 @@ mod tests {
         let s = BatchScheduler::new(4);
         assert_eq!(s.estimate_start(5, h(1), SimTime::ZERO), None);
         assert_eq!(s.estimate_start(0, h(1), SimTime::ZERO), None);
+    }
+
+    #[test]
+    fn zero_walltime_starts_stay_running_until_the_next_advance() {
+        let mut s = BatchScheduler::new(4);
+        s.submit(4, h(1), SimTime::ZERO); // A: 0–1h
+        s.submit(1, h(0), SimTime::ZERO); // Z: starts and ends at 1h
+        s.submit(4, h(1), SimTime::ZERO); // W: 1h–2h, once Z has retired
+        let p = s.projection();
+        // Submitted at 1h, a job sees the state `advance_to(1h)` leaves:
+        // Z still holds a node and W is blocked behind it with its shadow
+        // at 1h, so a zero-walltime job backfills at once.
+        assert_eq!(p.estimate_start(1, h(0), t(1)), Some(t(1)));
+        // One that would outlive the shadow waits for W.
+        assert_eq!(p.estimate_start(1, h(1), t(1)), Some(t(2)));
+        for (nodes, hours) in [(1, 0), (1, 1), (4, 0)] {
+            for at in [0, 1, 2, 3].map(t) {
+                let expected = s.estimate_start(nodes, h(hours), at);
+                assert_eq!(p.estimate_start(nodes, h(hours), at), expected);
+                let mut real = s.clone();
+                let id = real.submit(nodes, h(hours), at);
+                real.drain();
+                let started = real.finished().iter().find(|f| f.job.id == id);
+                assert_eq!(
+                    started.map(|f| f.started),
+                    expected,
+                    "{nodes}×{hours}h at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn drain_completes_jobs_at_the_saturated_clock() {
+        let mut s = BatchScheduler::new(4);
+        s.submit(1, h(1), SimTime::MAX);
+        assert_eq!(s.drain(), SimTime::MAX);
+        assert_eq!(s.finished().len(), 1);
+        assert_eq!(s.finished()[0].ended, SimTime::MAX);
+    }
+
+    #[test]
+    fn estimate_start_terminates_at_the_saturated_clock() {
+        let mut s = BatchScheduler::new(4);
+        s.submit(1, h(1), SimTime::MAX);
+        assert_eq!(s.estimate_start(4, h(1), SimTime::MAX), Some(SimTime::MAX));
+        assert_eq!(s.estimate_start(1, h(0), SimTime::ZERO), Some(SimTime::MAX));
     }
 
     #[test]

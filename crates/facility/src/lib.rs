@@ -32,7 +32,7 @@ pub mod streaming;
 
 pub use fabric::{DataFabric, FabricError, Link, TransferPlan};
 pub use facility::{presets, Facility, FacilityKind, FailureModel, Instrument};
-pub use hpc::{BatchScheduler, Finished, Job, JobId};
+pub use hpc::{BatchScheduler, Finished, Job, JobId, StartProjection};
 pub use human::{is_working, next_working_instant, HumanModel};
 pub use quantum::{AccessMode, CircuitSpec, Estimate, HybridLoop, HybridReport, Qpu, QpuError};
 pub use streaming::{monitor, DetectionReport, EdgeDetector, Sample, SensorStream, StreamConfig};

@@ -1,5 +1,6 @@
 //! Property tests for facility substrates: batch-scheduler safety and
-//! fairness, human-latency sanity, and fabric routing laws.
+//! fairness, start-time projection against a clone-and-drain reference,
+//! human-latency sanity, and fabric routing laws.
 
 use evoflow_facility::{
     is_working, next_working_instant, BatchScheduler, DataFabric, HumanModel, Link,
@@ -112,5 +113,122 @@ proptest! {
         direct.link(a2, b2, Link { gbps: 10.0, latency_ms: 5.0 });
         let direct_plan = direct.transfer("a", "b", gb1).expect("connected");
         prop_assert!(small.duration <= direct_plan.duration);
+    }
+}
+
+/// The reference start-time estimator: clone the scheduler, submit the
+/// job, drain the clone and look the job up, all through public API.
+fn reference_start(
+    s: &BatchScheduler,
+    nodes: u64,
+    walltime: SimDuration,
+    at: SimTime,
+) -> Option<SimTime> {
+    if nodes > s.total_nodes() || nodes == 0 {
+        return None;
+    }
+    let mut probe = s.clone();
+    let id = probe.submit(nodes, walltime, at);
+    probe.drain();
+    probe
+        .finished()
+        .iter()
+        .find(|f| f.job.id == id)
+        .map(|f| f.started)
+}
+
+/// Coarse time unit of the differential test: coarse enough that
+/// arrivals, completions and queries keep landing on the same instant.
+const UNIT: SimDuration = SimDuration::from_mins(15);
+
+/// Instant `now` shifted by `units` (saturating both ways).
+fn shifted(now: SimTime, units: i64) -> SimTime {
+    let step = UNIT.saturating_mul(units.unsigned_abs());
+    if units < 0 {
+        SimTime::from_nanos(now.as_nanos().saturating_sub(step.as_nanos()))
+    } else {
+        now + step
+    }
+}
+
+/// Compare one reused projection and `estimate_start` with the reference
+/// for every query, at times before, at and after the scheduler clock, at
+/// future start and completion instants, and at offsets from all of them.
+fn assert_projection_matches(s: &BatchScheduler, queries: &[(u64, u64, i64)]) {
+    let projection = s.projection();
+    let mut events: Vec<SimTime> = {
+        let mut drained = s.clone();
+        drained.drain();
+        drained
+            .finished()
+            .iter()
+            .flat_map(|f| [f.started, f.ended])
+            .filter(|&t| t >= s.now())
+            .collect()
+    };
+    events.sort();
+    events.dedup();
+    // Every instant would make each check quadratic in the queue; eight
+    // spread over the drain keep the first few and sample the rest.
+    let stride = events.len().div_ceil(8).max(1);
+    let times = [SimTime::ZERO, shifted(s.now(), -1), s.now()]
+        .into_iter()
+        .chain(events.iter().copied().take(4))
+        .chain(events.iter().copied().skip(4).step_by(stride));
+    for at in times {
+        for &(nodes_raw, units, offset) in queries {
+            let nodes = nodes_raw % (s.total_nodes() + 2);
+            let walltime = UNIT.saturating_mul(units);
+            for at in [at, shifted(at, offset)] {
+                let expected = reference_start(s, nodes, walltime, at);
+                assert_eq!(
+                    projection.estimate_start(nodes, walltime, at),
+                    expected,
+                    "projection: {nodes} nodes × {units} units at {at:?}, clock {:?}",
+                    s.now()
+                );
+                assert_eq!(s.estimate_start(nodes, walltime, at), expected);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 48 } else { 2000 }))]
+
+    /// `projection()` and `estimate_start` give exactly the start the
+    /// clone-and-drain reference finds, on random schedulers built from
+    /// submissions (zero-node and zero-walltime ones included),
+    /// `advance_to` and `drain_queued`; one case in eight starts right
+    /// below the saturated clock `SimTime::MAX`.
+    #[test]
+    fn start_projection_matches_clone_and_drain(
+        total in 1u64..41,
+        near_max in 0u64..8,
+        ops in prop::collection::vec((0u64..100, any::<u64>(), 0u64..6, -1i64..3), 0..300),
+        queries in prop::collection::vec((any::<u64>(), 0u64..6, 0i64..6), 1..4),
+    ) {
+        let mut s = BatchScheduler::new(total);
+        if near_max == 0 {
+            s.advance_to(shifted(SimTime::MAX, -40));
+        }
+        for (i, &(kind, raw, units, offset)) in ops.iter().enumerate() {
+            match kind {
+                0..=89 => {
+                    let nodes = raw % (total + 1);
+                    s.submit(nodes, UNIT.saturating_mul(units), shifted(s.now(), offset));
+                }
+                90..=98 => s.advance_to(shifted(s.now(), offset.max(0))),
+                _ => {
+                    s.drain_queued();
+                }
+            }
+            if i % 20 == 0 || i + 1 == ops.len() {
+                assert_projection_matches(&s, &queries);
+            }
+        }
+        if ops.is_empty() {
+            assert_projection_matches(&s, &queries);
+        }
     }
 }
