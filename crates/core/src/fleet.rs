@@ -17,8 +17,10 @@
 //!    `[Intelligent × Swarm]`. Workers pull from a lock-free claim queue
 //!    (each task is an atomic flag): a worker drains its own stripe, then
 //!    steals any unclaimed task, so no thread idles while work remains.
-//! 3. **Deterministic aggregation.** Workers buffer results locally;
-//!    the coordinator folds them in task order using
+//! 3. **Deterministic aggregation.** Workers store each result in its
+//!    task slot; the calling thread receives them strictly in task
+//!    order — each as soon as it and every earlier task have committed,
+//!    while the workers keep running — and folds them using
 //!    [`evoflow_sim::SampleStats::merge`], so the per-cell distributions
 //!    are independent of completion order.
 //!
@@ -57,6 +59,7 @@ use crate::profile::{PhaseBreakdown, PhaseProfiler};
 use evoflow_sim::{ChaosSchedule, ChaosSpec, RngRegistry, SampleStats, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Stream label under which fleet campaign seeds are derived from the
@@ -353,66 +356,120 @@ pub(crate) struct StealStats {
 
 /// Execute the fleet tasks `tasks` (pairs of shard index + config) across
 /// `threads` workers with the task runner `run`, committing at most
-/// `commit_cap` results.
+/// `commit_cap` results and handing each to `deliver`.
 ///
 /// The cap models a coordinator crash: workers stop claiming once the
 /// fleet-wide commit counter reaches the cap, and a campaign that
 /// finishes after the counter is exhausted is *discarded* — exactly the
 /// in-flight work a real crash loses. `None` commits everything.
 ///
-/// Every returned pair carries the original shard index, so callers can
-/// splice results positionally regardless of which worker ran what. The
-/// runner is generic so the same claim/steal/commit machinery serves both
-/// plain execution ([`run_campaign`]) and ledger-recording execution
-/// ([`run_campaign_recorded`]) — and the multi-tenant service layer
-/// ([`crate::service`]) multiplexes its admitted campaigns through it too.
-pub(crate) fn execute_fleet_tasks_with<R, F>(
+/// `deliver` runs on the calling thread and receives every committed
+/// result with its shard index, **in task order**: a result is delivered
+/// as soon as it and every earlier task have committed, while the workers
+/// keep running. Results a commit cap left behind a gap (a discarded or
+/// never-run task) are delivered, still in task order, once every worker
+/// has exited. The runner is generic so the same claim/steal/commit
+/// machinery serves both plain execution ([`run_campaign`]) and
+/// ledger-recording execution ([`run_campaign_recorded`]) — and the
+/// multi-tenant service layer ([`crate::service`]) streams its admitted
+/// campaigns through it too.
+pub(crate) fn execute_fleet_tasks_with<R, F, D>(
     tasks: &[(usize, CampaignConfig)],
     threads: usize,
     commit_cap: Option<usize>,
     run: F,
-) -> Vec<(usize, R)>
-where
+    deliver: D,
+) where
     R: Send,
     F: Fn(&CampaignConfig) -> R + Sync,
+    D: FnMut(usize, R),
 {
-    execute_fleet_tasks_steal_timed(tasks, threads, commit_cap, run, false).0
+    execute_fleet_tasks_steal_timed(tasks, threads, commit_cap, false, run, deliver);
+}
+
+/// The results workers hand to the calling thread: one slot per task,
+/// filled as the task commits, and the number of workers still running.
+struct Handoff<R> {
+    state: Mutex<HandoffState<R>>,
+    /// Signalled once per finished chunk and once per exiting worker.
+    progress: Condvar,
+}
+
+struct HandoffState<R> {
+    slots: Vec<Option<R>>,
+    running: usize,
+}
+
+impl<R> Handoff<R> {
+    fn lock(&self) -> MutexGuard<'_, HandoffState<R>> {
+        // Every update under this lock is a single store or decrement, so
+        // the state is valid even if a panic poisoned it; the panic
+        // itself surfaces when its worker is joined.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Marks a worker as exited when dropped — also while unwinding from a
+/// panicking task — so the calling thread never waits on a worker that
+/// is gone.
+struct WorkerExit<'a, R>(&'a Handoff<R>);
+
+impl<R> Drop for WorkerExit<'_, R> {
+    fn drop(&mut self) {
+        self.0.lock().running -= 1;
+        self.0.progress.notify_one();
+    }
 }
 
 /// [`execute_fleet_tasks_with`] plus claim-side counters. With
 /// `time_steals` false the claim path reads no clock (one local counter
 /// increment per chunk); with it true, each `claim` call is wall-timed —
 /// the *steal* phase of a profiled fleet run.
-pub(crate) fn execute_fleet_tasks_steal_timed<R, F>(
+///
+/// A panicking task surfaces as a panic of this call once every worker
+/// has exited; results delivered before it stay delivered.
+pub(crate) fn execute_fleet_tasks_steal_timed<R, F, D>(
     tasks: &[(usize, CampaignConfig)],
     threads: usize,
     commit_cap: Option<usize>,
-    run: F,
     time_steals: bool,
-) -> (Vec<(usize, R)>, StealStats)
+    run: F,
+    mut deliver: D,
+) -> StealStats
 where
     R: Send,
     F: Fn(&CampaignConfig) -> R + Sync,
+    D: FnMut(usize, R),
 {
     let cap = commit_cap.unwrap_or(usize::MAX);
     if tasks.is_empty() || cap == 0 {
-        return (Vec::new(), StealStats::default());
+        return StealStats::default();
     }
     if threads <= 1 {
         // Serial fast path: no thread machinery, no claims.
-        let results = tasks.iter().take(cap).map(|(i, c)| (*i, run(c))).collect();
-        return (results, StealStats::default());
+        for (i, c) in tasks.iter().take(cap) {
+            deliver(*i, run(c));
+        }
+        return StealStats::default();
     }
     let queue = TaskQueue::new(tasks.len(), threads);
     let commits = AtomicUsize::new(0);
+    let handoff = Handoff {
+        state: Mutex::new(HandoffState {
+            slots: (0..tasks.len()).map(|_| None).collect(),
+            running: threads,
+        }),
+        progress: Condvar::new(),
+    };
     let queue_ref = &queue;
     let commits_ref = &commits;
+    let handoff_ref = &handoff;
     let run_ref = &run;
-    let collected: Vec<(Vec<(usize, R)>, StealStats)> = std::thread::scope(|scope| {
+    let (delivered, steals) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut local = Vec::new();
+                    let _exit = WorkerExit(handoff_ref);
                     let mut steals = StealStats::default();
                     'claiming: while commits_ref.load(Ordering::Acquire) < cap {
                         let started = time_steals.then(Instant::now);
@@ -436,27 +493,63 @@ where
                             }
                             let result = run_ref(&tasks[i].1);
                             if commits_ref.fetch_add(1, Ordering::AcqRel) < cap {
-                                local.push((tasks[i].0, result));
+                                handoff_ref.lock().slots[i] = Some(result);
                             }
                         }
+                        // One wake-up per chunk, not per task.
+                        handoff_ref.progress.notify_one();
                     }
-                    (local, steals)
+                    steals
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
+
+        // Deliver the committed prefix as it grows, until it is complete
+        // or every worker has exited.
+        let mut next = 0;
+        loop {
+            let mut ready = Vec::new();
+            let running = {
+                let mut state = handoff_ref.lock();
+                while state.running > 0 && state.slots[next].is_none() {
+                    state = handoff_ref
+                        .progress
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                while let Some(result) = state.slots.get_mut(next).and_then(Option::take) {
+                    ready.push((next, result));
+                    next += 1;
+                }
+                state.running
+            };
+            for (i, result) in ready {
+                deliver(tasks[i].0, result);
+            }
+            if running == 0 || next == tasks.len() {
+                break;
+            }
+        }
+        let mut steals = StealStats::default();
+        for h in handles {
+            let s = h.join().expect("fleet worker panicked");
+            steals.claims += s.claims;
+            steals.nanos += s.nanos;
+        }
+        (next, steals)
     });
-    let mut results = Vec::new();
-    let mut steals = StealStats::default();
-    for (local, s) in collected {
-        results.extend(local);
-        steals.claims += s.claims;
-        steals.nanos += s.nanos;
+    // Every worker has exited: what is left are results a commit cap
+    // stranded behind a gap.
+    let state = handoff
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    for (i, slot) in state.slots.into_iter().enumerate().skip(delivered) {
+        if let Some(result) = slot {
+            deliver(tasks[i].0, result);
+        }
     }
-    (results, steals)
+    steals
 }
 
 /// The plain-report runner over [`execute_fleet_tasks_with`].
@@ -465,8 +558,15 @@ fn execute_fleet_tasks(
     tasks: &[(usize, CampaignConfig)],
     threads: usize,
     commit_cap: Option<usize>,
-) -> Vec<(usize, CampaignReport)> {
-    execute_fleet_tasks_with(tasks, threads, commit_cap, |c| run_campaign(space, c))
+    deliver: impl FnMut(usize, CampaignReport),
+) {
+    execute_fleet_tasks_with(
+        tasks,
+        threads,
+        commit_cap,
+        |c| run_campaign(space, c),
+        deliver,
+    );
 }
 
 /// Run a fleet of campaigns and report aggregate outcomes plus timing.
@@ -479,15 +579,10 @@ pub fn run_campaign_fleet_timed(
     let started = Instant::now();
 
     let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut reports: Vec<Option<CampaignReport>> = (0..tasks.len()).map(|_| None).collect();
-    for (i, r) in execute_fleet_tasks(space, &tasks, threads, None) {
-        reports[i] = Some(r);
-    }
-    let ordered: Vec<CampaignReport> = reports
-        .into_iter()
-        .map(|r| r.expect("every task claimed exactly once"))
-        .collect();
-    let report = FleetReport::from_reports(cfg.master_seed, ordered);
+    // Results arrive in task order, which here is shard order.
+    let mut reports = Vec::with_capacity(tasks.len());
+    execute_fleet_tasks(space, &tasks, threads, None, |_, r| reports.push(r));
+    let report = FleetReport::from_reports(cfg.master_seed, reports);
     let timing = FleetTiming {
         threads,
         wall_clock: started.elapsed(),
@@ -652,9 +747,9 @@ pub fn run_campaign_fleet_until(
     let threads = cfg.effective_threads();
     let mut ckpt = FleetCheckpoint::from_shards(cfg.master_seed, &shards);
     let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    for (i, r) in execute_fleet_tasks(space, &tasks, threads, Some(max_completions)) {
-        ckpt.record(i, r);
-    }
+    execute_fleet_tasks(space, &tasks, threads, Some(max_completions), |i, r| {
+        ckpt.record(i, r)
+    });
     ckpt
 }
 
@@ -680,9 +775,7 @@ pub fn resume_campaign_fleet(
         .filter(|(i, _)| checkpoint.completed[*i].is_none())
         .collect();
     let mut reports: Vec<Option<CampaignReport>> = checkpoint.completed.clone();
-    for (i, r) in execute_fleet_tasks(space, &missing, threads, None) {
-        reports[i] = Some(r);
-    }
+    execute_fleet_tasks(space, &missing, threads, None, |i, r| reports[i] = Some(r));
     let ordered: Vec<CampaignReport> = reports
         .into_iter()
         .map(|r| r.expect("checkpointed or just re-run"))
@@ -727,20 +820,18 @@ pub fn run_campaign_fleet_recorded(
     let shards = cfg.sharded_campaigns();
     let threads = cfg.effective_threads();
     let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut slots: Vec<Option<(CampaignReport, CampaignLedger)>> =
-        (0..tasks.len()).map(|_| None).collect();
-    for (i, pair) in
-        execute_fleet_tasks_with(&tasks, threads, None, |c| run_campaign_recorded(space, c))
-    {
-        slots[i] = Some(pair);
-    }
-    let mut reports = Vec::with_capacity(slots.len());
-    let mut campaigns = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let (report, ledger) = slot.expect("every task claimed exactly once");
-        reports.push(report);
-        campaigns.push(ledger);
-    }
+    let mut reports = Vec::with_capacity(tasks.len());
+    let mut campaigns = Vec::with_capacity(tasks.len());
+    execute_fleet_tasks_with(
+        &tasks,
+        threads,
+        None,
+        |c| run_campaign_recorded(space, c),
+        |_, (report, ledger)| {
+            reports.push(report);
+            campaigns.push(ledger);
+        },
+    );
     (
         FleetReport::from_reports(cfg.master_seed, reports),
         FleetLedger {
@@ -765,32 +856,26 @@ pub fn run_campaign_fleet_profiled(
     let threads = cfg.effective_threads();
     let started = Instant::now();
     let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut slots: Vec<Option<(CampaignReport, CampaignLedger, PhaseBreakdown)>> =
-        (0..tasks.len()).map(|_| None).collect();
-    let (results, steals) = execute_fleet_tasks_steal_timed(
+    let mut reports = Vec::with_capacity(tasks.len());
+    let mut campaigns = Vec::with_capacity(tasks.len());
+    let mut merged = PhaseProfiler::enabled();
+    let steals = execute_fleet_tasks_steal_timed(
         &tasks,
         threads,
         None,
+        true,
         |c| {
             let mut ledger = CampaignLedger::new();
             let mut prof = PhaseProfiler::enabled();
             let report = run_campaign_profiled(space, c, &mut [&mut ledger], &mut prof);
             (report, ledger, prof.breakdown())
         },
-        true,
+        |_, (report, ledger, breakdown)| {
+            reports.push(report);
+            campaigns.push(ledger);
+            merged.merge(&breakdown);
+        },
     );
-    for (i, triple) in results {
-        slots[i] = Some(triple);
-    }
-    let mut reports = Vec::with_capacity(slots.len());
-    let mut campaigns = Vec::with_capacity(slots.len());
-    let mut merged = PhaseProfiler::enabled();
-    for slot in slots {
-        let (report, ledger, breakdown) = slot.expect("every task claimed exactly once");
-        reports.push(report);
-        campaigns.push(ledger);
-        merged.merge(&breakdown);
-    }
     merged.add_steals(steals.claims, steals.nanos);
     let timing = FleetTiming {
         threads,
@@ -865,14 +950,16 @@ pub fn run_campaign_fleet_recorded_until(
     let mut fleet = FleetCheckpoint::from_shards(cfg.master_seed, &shards);
     let mut ledgers: Vec<Option<CampaignLedger>> = (0..shards.len()).map(|_| None).collect();
     let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    for (i, (report, ledger)) in
-        execute_fleet_tasks_with(&tasks, threads, Some(max_completions), |c| {
-            run_campaign_recorded(space, c)
-        })
-    {
-        fleet.record(i, report);
-        ledgers[i] = Some(ledger);
-    }
+    execute_fleet_tasks_with(
+        &tasks,
+        threads,
+        Some(max_completions),
+        |c| run_campaign_recorded(space, c),
+        |i, (report, ledger)| {
+            fleet.record(i, report);
+            ledgers[i] = Some(ledger);
+        },
+    );
     // The audit trail records what actually happened: the coordinator
     // died after the commits it truly absorbed (a cap larger than the
     // fleet never fires mid-run).
@@ -916,12 +1003,16 @@ pub fn resume_campaign_fleet_recorded(
         .collect();
     let mut reports: Vec<Option<CampaignReport>> = checkpoint.fleet.completed.clone();
     let mut ledgers: Vec<Option<CampaignLedger>> = checkpoint.ledgers.clone();
-    for (i, (report, ledger)) in
-        execute_fleet_tasks_with(&missing, threads, None, |c| run_campaign_recorded(space, c))
-    {
-        reports[i] = Some(report);
-        ledgers[i] = Some(ledger);
-    }
+    execute_fleet_tasks_with(
+        &missing,
+        threads,
+        None,
+        |c| run_campaign_recorded(space, c),
+        |i, (report, ledger)| {
+            reports[i] = Some(report);
+            ledgers[i] = Some(ledger);
+        },
+    );
     let ordered: Vec<CampaignReport> = reports
         .into_iter()
         .map(|r| r.expect("checkpointed or just re-run"))
@@ -1117,6 +1208,113 @@ mod tests {
         let distinct: std::collections::BTreeSet<usize> =
             (0..30).map(|s| fleet_death_point(s, 8)).collect();
         assert!(distinct.len() > 1, "death points must vary with the seed");
+    }
+
+    /// `n` executor tasks; each config's seed is its task index.
+    fn indexed_tasks(n: usize) -> Vec<(usize, CampaignConfig)> {
+        (0..n)
+            .map(|i| {
+                (
+                    i,
+                    CampaignConfig::for_cell(Cell::traditional_wms(), i as u64),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn executor_delivers_in_task_order_whatever_the_completion_order() {
+        let tasks = indexed_tasks(24);
+        for threads in [1usize, 2, 4] {
+            // With other workers to run the rest, task 0 is held until the
+            // last task has finished, so every later chunk completes
+            // before the first one.
+            let last_done = (Mutex::new(false), Condvar::new());
+            let completed = Mutex::new(Vec::new());
+            let mut delivered = Vec::new();
+            execute_fleet_tasks_with(
+                &tasks,
+                threads,
+                None,
+                |c| {
+                    let (done, cv) = &last_done;
+                    if c.seed == 0 && threads > 1 {
+                        let held = done.lock().unwrap();
+                        let _ = cv.wait_timeout_while(held, Duration::from_secs(30), |d| !*d);
+                    }
+                    if c.seed == 23 {
+                        *done.lock().unwrap() = true;
+                        cv.notify_all();
+                    }
+                    completed.lock().unwrap().push(c.seed);
+                    c.seed
+                },
+                |i, seed| delivered.push((i, seed)),
+            );
+            let expected: Vec<(usize, u64)> = (0..24).map(|i| (i, i as u64)).collect();
+            assert_eq!(delivered, expected, "threads={threads}");
+            let completed = completed.into_inner().unwrap();
+            assert_eq!(
+                completed[0] == 0,
+                threads == 1,
+                "threads={threads}: completion order {completed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn executor_surfaces_a_panicking_task_instead_of_hanging() {
+        for threads in [1usize, 2, 4] {
+            // A watchdog turns a hang into a failure.
+            let (done, outcome) = std::sync::mpsc::channel();
+            let watched = std::thread::spawn(move || {
+                let tasks = indexed_tasks(16);
+                let mut delivered = 0;
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    execute_fleet_tasks_with(
+                        &tasks,
+                        threads,
+                        None,
+                        |c| {
+                            assert_ne!(c.seed, 5, "task 5 fails");
+                            c.seed
+                        },
+                        |_, _| delivered += 1,
+                    )
+                }));
+                let _ = done.send((result.is_err(), delivered));
+            });
+            let (panicked, delivered) = outcome
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("executor hung at threads={threads}"));
+            watched.join().unwrap();
+            assert!(panicked, "threads={threads}");
+            // Only the prefix before the failed task can have been delivered.
+            assert!(delivered <= 5, "threads={threads}: {delivered} delivered");
+        }
+    }
+
+    #[test]
+    fn executor_commit_cap_delivers_exactly_that_many() {
+        // Later tasks commit first, so a cap strands results behind gaps.
+        let tasks = indexed_tasks(12);
+        for threads in [1usize, 2, 4] {
+            for cap in 0..=14usize {
+                let mut delivered = Vec::new();
+                execute_fleet_tasks_with(
+                    &tasks,
+                    threads,
+                    Some(cap),
+                    |c| std::thread::sleep(Duration::from_micros(200 * (12 - c.seed))),
+                    |i, _| delivered.push(i),
+                );
+                assert_eq!(delivered.len(), cap.min(12), "threads={threads} cap={cap}");
+                assert!(
+                    delivered.windows(2).all(|w| w[0] < w[1]),
+                    "threads={threads} cap={cap}: not in task order: {delivered:?}"
+                );
+            }
+        }
     }
 
     #[test]

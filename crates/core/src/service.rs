@@ -30,7 +30,9 @@
 //!   session — admissions, rejections, dispatches, and every campaign's
 //!   event stream — through [`LedgerObserver`] sinks such as
 //!   [`RingTelemetry`](crate::RingTelemetry), in deterministic schedule
-//!   order.
+//!   order. Each campaign is delivered as soon as it and every campaign
+//!   before it in dispatch order have committed; observers run on the
+//!   calling thread while the workers keep running.
 //! * **Restart survival.** [`run_service_until`] kills the service after
 //!   N campaign commits and emits a [`ServiceCheckpoint`] (seed
 //!   handshake + committed reports and ledgers, exactly the
@@ -771,18 +773,82 @@ fn assemble_report(
     }
 }
 
-/// The exact campaign configs the service will execute, keyed by
-/// admission index: the submitted config with the admission-derived seed
-/// spliced in.
-fn admitted_configs(cfg: &ServiceConfig, plan: &ServicePlan) -> Vec<CampaignConfig> {
-    plan.admitted
+/// Per-admission session results, in admission order: `None` until that
+/// campaign commits.
+struct Committed {
+    reports: Vec<Option<CampaignReport>>,
+    ledgers: Vec<Option<CampaignLedger>>,
+}
+
+impl Committed {
+    /// Nothing committed yet, for a session of `admitted` campaigns.
+    fn none(admitted: usize) -> Self {
+        Committed {
+            reports: (0..admitted).map(|_| None).collect(),
+            ledgers: (0..admitted).map(|_| None).collect(),
+        }
+    }
+
+    /// Fold a fully committed session into its report and merged ledger.
+    fn finish(self, cfg: &ServiceConfig, plan: &ServicePlan) -> (ServiceReport, FleetLedger) {
+        let reports: Vec<CampaignReport> = self
+            .reports
+            .into_iter()
+            .map(|r| r.expect("checkpointed or just run"))
+            .collect();
+        let campaigns: Vec<CampaignLedger> = self
+            .ledgers
+            .into_iter()
+            .map(|l| l.expect("checkpointed or just run"))
+            .collect();
+        (
+            assemble_report(cfg, plan, reports),
+            FleetLedger {
+                master_seed: cfg.master_seed,
+                campaigns,
+            },
+        )
+    }
+}
+
+/// The one session driver: run every admitted campaign whose slot in
+/// `committed` is still empty, in dispatch order, commit at most
+/// `commit_cap` of them, and stream each one to `observers` as it
+/// commits (see [`SessionStream`]).
+fn drive_session(
+    space: &MaterialsSpace,
+    cfg: &ServiceConfig,
+    plan: &ServicePlan,
+    mut committed: Committed,
+    commit_cap: Option<usize>,
+    observers: &mut [&mut dyn LedgerObserver],
+) -> Committed {
+    // The submitted config with the admission-derived seed spliced in.
+    let tasks: Vec<(usize, CampaignConfig)> = plan
+        .dispatch_order
         .iter()
-        .map(|a| {
+        .filter(|&&ai| committed.reports[ai].is_none())
+        .map(|&ai| {
+            let a = &plan.admitted[ai];
             let mut c = cfg.submissions[a.submission_index].campaign.clone();
             c.seed = a.seed;
-            c
+            (ai, c)
         })
-        .collect()
+        .collect();
+    let mut stream = SessionStream::new(plan, observers);
+    execute_fleet_tasks_with(
+        &tasks,
+        cfg.effective_threads(),
+        commit_cap,
+        |c| run_campaign_recorded(space, c),
+        |ai, (report, ledger)| {
+            stream.campaign(ai, &ledger);
+            committed.reports[ai] = Some(report);
+            committed.ledgers[ai] = Some(ledger);
+        },
+    );
+    stream.finish();
+    committed
 }
 
 /// Run a full service session, streaming the whole schedule through the
@@ -791,106 +857,130 @@ fn admitted_configs(cfg: &ServiceConfig, plan: &ServicePlan) -> Vec<CampaignConf
 /// Events are streamed in deterministic schedule order, round by round:
 /// each round's admissions and rejections (in arrival order), then its
 /// dispatches (in slot order), each dispatch followed by the dispatched
-/// campaign's complete event stream. The stream is emitted after
-/// execution commits, so observation can never perturb a campaign — the
-/// same one-way contract every [`LedgerObserver`] sink already has.
+/// campaign's complete event stream. That order never depends on the
+/// thread count; only when it arrives does. Each campaign is delivered
+/// as soon as it and every campaign before it in dispatch order have
+/// committed, together with the scheduling events of the rounds up to
+/// its dispatch; the rounds after the last dispatch (which can only
+/// refuse) follow the last campaign. Observers run on the calling thread
+/// while the workers keep running, and only ever see committed work, so
+/// observation can never perturb a campaign — the same one-way contract
+/// every [`LedgerObserver`] sink already has.
 pub fn run_service_observed(
     space: &MaterialsSpace,
     cfg: &ServiceConfig,
     observers: &mut [&mut dyn LedgerObserver],
 ) -> Result<(ServiceReport, FleetLedger), ServiceError> {
     let plan = plan_service(cfg)?;
-    let configs = admitted_configs(cfg, &plan);
-    let tasks: Vec<(usize, CampaignConfig)> = plan
-        .dispatch_order
-        .iter()
-        .map(|&ai| (ai, configs[ai].clone()))
-        .collect();
-    let mut slots: Vec<Option<(CampaignReport, CampaignLedger)>> =
-        (0..plan.admitted.len()).map(|_| None).collect();
-    for (ai, pair) in execute_fleet_tasks_with(&tasks, cfg.effective_threads(), None, |c| {
-        run_campaign_recorded(space, c)
-    }) {
-        slots[ai] = Some(pair);
-    }
-    let mut reports = Vec::with_capacity(slots.len());
-    let mut ledgers = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let (report, ledger) = slot.expect("every dispatched task claimed exactly once");
-        reports.push(report);
-        ledgers.push(ledger);
-    }
-
-    if !observers.is_empty() {
-        stream_session(&plan, &ledgers, observers);
-    }
-
-    let report = assemble_report(cfg, &plan, reports);
-    let ledger = FleetLedger {
-        master_seed: cfg.master_seed,
-        campaigns: ledgers,
-    };
-    Ok((report, ledger))
+    let committed = drive_session(
+        space,
+        cfg,
+        &plan,
+        Committed::none(plan.admitted.len()),
+        None,
+        observers,
+    );
+    Ok(committed.finish(cfg, &plan))
 }
 
-/// Feed the session's event stream — service-level scheduling events
-/// interleaved with per-campaign streams — to every observer, in
-/// deterministic schedule order.
-fn stream_session(
-    plan: &ServicePlan,
-    ledgers: &[CampaignLedger],
-    observers: &mut [&mut dyn LedgerObserver],
-) {
-    fn emit(observers: &mut [&mut dyn LedgerObserver], event: &CampaignEvent) {
-        for obs in observers.iter_mut() {
+/// The live session stream: one forward cursor into each of the plan's
+/// round-sorted lists. Admissions (admission order) and refusals
+/// (refusal order) are walked here; dispatches (slot order) arrive one
+/// committed campaign at a time from the executor. Streaming a session
+/// therefore costs O(rounds + submissions) however many campaigns
+/// commit.
+struct SessionStream<'a, 'b> {
+    plan: &'a ServicePlan,
+    observers: &'a mut [&'b mut dyn LedgerObserver],
+    /// First round whose admissions and refusals are not yet emitted.
+    round: usize,
+    /// Next admission to emit.
+    admitted: usize,
+    /// Next refusal to emit.
+    rejected: usize,
+}
+
+impl<'a, 'b> SessionStream<'a, 'b> {
+    fn new(plan: &'a ServicePlan, observers: &'a mut [&'b mut dyn LedgerObserver]) -> Self {
+        SessionStream {
+            plan,
+            observers,
+            round: 0,
+            admitted: 0,
+            rejected: 0,
+        }
+    }
+
+    fn emit(&mut self, event: &CampaignEvent) {
+        for obs in self.observers.iter_mut() {
             obs.on_event(event);
         }
     }
-    // Bucket schedule items by round; admissions/rejections are already
-    // in arrival order, dispatches in slot order.
-    for round in 0..plan.rounds {
-        for a in plan.admitted.iter().filter(|a| a.admitted_round == round) {
-            emit(
-                observers,
-                &CampaignEvent::SubmissionAdmitted {
+
+    /// Emit the admissions, then the refusals, of every round before
+    /// `until` that has not been emitted yet.
+    fn rounds_before(&mut self, until: usize) {
+        let plan = self.plan;
+        while self.round < until {
+            let round = self.round;
+            while let Some(a) = plan
+                .admitted
+                .get(self.admitted)
+                .filter(|a| a.admitted_round == round)
+            {
+                self.emit(&CampaignEvent::SubmissionAdmitted {
                     tenant: a.tenant.clone().into(),
                     admission_index: a.admission_index,
                     round,
-                },
-            );
-        }
-        for r in plan.rejected.iter().filter(|r| r.round == round) {
-            emit(
-                observers,
-                &CampaignEvent::SubmissionRejected {
+                });
+                self.admitted += 1;
+            }
+            while let Some(r) = plan
+                .rejected
+                .get(self.rejected)
+                .filter(|r| r.round == round)
+            {
+                self.emit(&CampaignEvent::SubmissionRejected {
                     tenant: r.tenant.clone().into(),
                     submission_index: r.submission_index,
                     round,
                     reason: r.reason,
-                },
-            );
+                });
+                self.rejected += 1;
+            }
+            self.round += 1;
         }
-        for &ai in plan.dispatch_order.iter() {
-            let a = &plan.admitted[ai];
-            if a.dispatched_round != round {
-                continue;
-            }
-            emit(
-                observers,
-                &CampaignEvent::CampaignDispatched {
-                    tenant: a.tenant.clone().into(),
-                    admission_index: ai,
-                    round,
-                    slot: a.dispatch_slot,
-                },
-            );
-            // The dispatched campaign's stream is already one contiguous
-            // slice — deliver it as a single batch per observer instead
-            // of a per-event virtual call (identical order, identical
-            // stream; see `LedgerObserver::on_batch`).
-            for obs in observers.iter_mut() {
-                obs.on_batch(&ledgers[ai].events);
-            }
+    }
+
+    /// Stream one committed campaign — the next in dispatch order: the
+    /// rounds up to its dispatch, its `CampaignDispatched`, then its
+    /// ledger.
+    fn campaign(&mut self, admission_index: usize, ledger: &CampaignLedger) {
+        if self.observers.is_empty() {
+            return;
+        }
+        let a = &self.plan.admitted[admission_index];
+        self.rounds_before(a.dispatched_round + 1);
+        self.emit(&CampaignEvent::CampaignDispatched {
+            tenant: a.tenant.clone().into(),
+            admission_index,
+            round: a.dispatched_round,
+            slot: a.dispatch_slot,
+        });
+        // The campaign's stream is already one contiguous slice — deliver
+        // it as a single batch per observer instead of a per-event
+        // virtual call (identical order, identical stream; see
+        // `LedgerObserver::on_batch`).
+        for obs in self.observers.iter_mut() {
+            obs.on_batch(&ledger.events);
+        }
+    }
+
+    /// Flush the rounds left after the last dispatch: a session can end
+    /// in rounds that only refuse.
+    fn finish(&mut self) {
+        if !self.observers.is_empty() {
+            self.rounds_before(self.plan.rounds);
         }
     }
 }
@@ -1022,23 +1112,17 @@ pub fn run_service_until(
     max_commits: usize,
 ) -> Result<ServiceCheckpoint, ServiceError> {
     let plan = plan_service(cfg)?;
-    let configs = admitted_configs(cfg, &plan);
-    let tasks: Vec<(usize, CampaignConfig)> = plan
-        .dispatch_order
-        .iter()
-        .map(|&ai| (ai, configs[ai].clone()))
-        .collect();
-    let mut completed: Vec<Option<CampaignReport>> =
-        (0..plan.admitted.len()).map(|_| None).collect();
-    let mut ledgers: Vec<Option<CampaignLedger>> = (0..plan.admitted.len()).map(|_| None).collect();
-    for (ai, (report, ledger)) in
-        execute_fleet_tasks_with(&tasks, cfg.effective_threads(), Some(max_commits), |c| {
-            run_campaign_recorded(space, c)
-        })
-    {
-        completed[ai] = Some(report);
-        ledgers[ai] = Some(ledger);
-    }
+    let Committed {
+        reports: completed,
+        ledgers,
+    } = drive_session(
+        space,
+        cfg,
+        &plan,
+        Committed::none(plan.admitted.len()),
+        Some(max_commits),
+        &mut [],
+    );
     let committed = completed.iter().filter(|c| c.is_some()).count();
     let events = vec![
         CampaignEvent::CoordinatorKilled {
@@ -1099,39 +1183,12 @@ pub fn resume_service(
         return Err(ServiceResumeError::LedgerMismatch { index });
     }
 
-    let configs = admitted_configs(cfg, &plan);
-    let missing: Vec<(usize, CampaignConfig)> = plan
-        .dispatch_order
-        .iter()
-        .filter(|&&ai| checkpoint.completed[ai].is_none())
-        .map(|&ai| (ai, configs[ai].clone()))
-        .collect();
-    let mut reports: Vec<Option<CampaignReport>> = checkpoint.completed.clone();
-    let mut ledgers: Vec<Option<CampaignLedger>> = checkpoint.ledgers.clone();
-    for (ai, (report, ledger)) in
-        execute_fleet_tasks_with(&missing, cfg.effective_threads(), None, |c| {
-            run_campaign_recorded(space, c)
-        })
-    {
-        reports[ai] = Some(report);
-        ledgers[ai] = Some(ledger);
-    }
-    let ordered: Vec<CampaignReport> = reports
-        .into_iter()
-        .map(|r| r.expect("checkpointed or just re-run"))
-        .collect();
-    let campaigns: Vec<CampaignLedger> = ledgers
-        .into_iter()
-        .map(|l| l.expect("checkpointed or just re-run"))
-        .collect();
-    let report = assemble_report(cfg, &plan, ordered);
-    Ok((
-        report,
-        FleetLedger {
-            master_seed: cfg.master_seed,
-            campaigns,
-        },
-    ))
+    let checkpointed = Committed {
+        reports: checkpoint.completed.clone(),
+        ledgers: checkpoint.ledgers.clone(),
+    };
+    let committed = drive_session(space, cfg, &plan, checkpointed, None, &mut []);
+    Ok(committed.finish(cfg, &plan))
 }
 
 #[cfg(test)]

@@ -15,11 +15,15 @@
 //!    uninterrupted report and merged ledger exactly.
 //! 5. **Round-trip** — configs, plans, reports, and checkpoints survive
 //!    serde.
+//! 6. **Live stream** — the event stream an observer receives from
+//!    [`run_service_observed`] at 1, 2, and 3 worker threads equals a
+//!    reference stream rebuilt from the plan and the returned ledger by
+//!    filtering the schedule round by round.
 
 use evoflow_core::{
-    plan_service, resume_service, run_service, run_service_until, CampaignConfig, Cell,
-    MaterialsSpace, ServiceCheckpoint, ServiceConfig, ServicePlan, ServiceReport, TenantSpec,
-    SERVICE_SHARD_LABEL,
+    plan_service, resume_service, run_service, run_service_observed, run_service_until,
+    CampaignConfig, CampaignEvent, CampaignLedger, Cell, FleetLedger, MaterialsSpace,
+    ServiceCheckpoint, ServiceConfig, ServicePlan, ServiceReport, TenantSpec, SERVICE_SHARD_LABEL,
 };
 use evoflow_sim::{RngRegistry, SimDuration};
 use proptest::prelude::*;
@@ -132,6 +136,46 @@ fn plan_sanity(cfg: &ServiceConfig) -> ServicePlan {
     plan
 }
 
+/// The reference session stream: for every round, that round's
+/// admissions, then its refusals, then its dispatches in slot order, each
+/// followed by the dispatched campaign's ledger. Each round filters the
+/// whole admitted, rejected and dispatch lists — quadratic, and kept
+/// only as the oracle the live stream must match event for event.
+fn reference_stream(plan: &ServicePlan, ledger: &FleetLedger) -> Vec<CampaignEvent> {
+    let mut events = Vec::new();
+    for round in 0..plan.rounds {
+        for a in plan.admitted.iter().filter(|a| a.admitted_round == round) {
+            events.push(CampaignEvent::SubmissionAdmitted {
+                tenant: a.tenant.clone().into(),
+                admission_index: a.admission_index,
+                round,
+            });
+        }
+        for r in plan.rejected.iter().filter(|r| r.round == round) {
+            events.push(CampaignEvent::SubmissionRejected {
+                tenant: r.tenant.clone().into(),
+                submission_index: r.submission_index,
+                round,
+                reason: r.reason,
+            });
+        }
+        for &ai in &plan.dispatch_order {
+            let a = &plan.admitted[ai];
+            if a.dispatched_round != round {
+                continue;
+            }
+            events.push(CampaignEvent::CampaignDispatched {
+                tenant: a.tenant.clone().into(),
+                admission_index: ai,
+                round,
+                slot: a.dispatch_slot,
+            });
+            events.extend_from_slice(&ledger.campaigns[ai].events);
+        }
+    }
+    events
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -191,5 +235,28 @@ proptest! {
         let wire = serde_json::to_string(&cfg).unwrap();
         let back: ServiceConfig = serde_json::from_str(&wire).unwrap();
         prop_assert_eq!(&cfg, &back);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The live stream is the reference stream, event for event, at any
+    /// thread count — including zero pacing, unknown tenants, empty
+    /// traces, and sessions that end in rounds that only refuse.
+    #[test]
+    fn observed_stream_matches_round_filter_oracle(cfg in arb_config()) {
+        let space = space();
+        let plan = plan_service(&cfg).unwrap();
+        let mut serial = None;
+        for threads in [1usize, 2, 3] {
+            let mut c = cfg.clone();
+            c.threads = threads;
+            let mut tape = CampaignLedger::new();
+            let session = run_service_observed(&space, &c, &mut [&mut tape]).unwrap();
+            prop_assert_eq!(&tape.events, &reference_stream(&plan, &session.1));
+            let serial = serial.get_or_insert_with(|| session.clone());
+            prop_assert_eq!(&session, serial);
+        }
     }
 }

@@ -10,10 +10,17 @@
 //! * **Tamper refusal** — on a *real* recorded campaign's binary ledger,
 //!   any single flipped bit and any truncation is refused by the decoder;
 //!   corruption never replays as silently different history.
+//!
+//! Beside them, every decoder that falls back to legacy JSON refuses
+//! input nested past the JSON parser's depth limit with a typed error
+//! instead of overflowing the stack.
 
 use evoflow_core::{
-    run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger, Cell, LedgerEncoding,
-    MaterialsSpace, RejectReason,
+    replay_fleet_ledger_bytes, replay_ledger_bytes, resume_campaign_fleet_recorded_bytes,
+    resume_service_bytes, run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger,
+    Cell, FleetConfig, FleetLedger, FleetLedgerCheckpoint, FleetResumeError, LedgerEncoding,
+    MaterialsSpace, RejectReason, ReplayError, ServiceCheckpoint, ServiceConfig,
+    ServiceResumeError, WireError,
 };
 use evoflow_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -330,4 +337,38 @@ proptest! {
             "truncation to {} bytes decoded cleanly", cut
         );
     }
+}
+
+/// A 200 000-deep `[[…]]` (400 KB, no `EVWL` magic, so every decoder
+/// takes its legacy-JSON path) is refused as [`WireError::Json`] by every
+/// public decoder, replay and resume entry point — never a stack overflow
+/// that aborts the process.
+#[test]
+fn deeply_nested_json_is_refused_by_every_decoder() {
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let bytes = deep.as_bytes();
+    assert_eq!(LedgerEncoding::detect(bytes), LedgerEncoding::Json);
+    let too_deep = |e: &WireError| matches!(e, WireError::Json(m) if m.contains("recursion limit"));
+
+    assert!(CampaignLedger::from_bytes(bytes).is_err_and(|e| too_deep(&e)));
+    assert!(FleetLedger::from_bytes(bytes).is_err_and(|e| too_deep(&e)));
+    assert!(FleetLedgerCheckpoint::from_bytes(bytes).is_err_and(|e| too_deep(&e)));
+    assert!(ServiceCheckpoint::from_bytes(bytes).is_err_and(|e| too_deep(&e)));
+    assert!(matches!(
+        replay_ledger_bytes(bytes),
+        Err(ReplayError::Corrupt(e)) if too_deep(&e)
+    ));
+    assert!(matches!(
+        replay_fleet_ledger_bytes(bytes),
+        Err(ReplayError::Corrupt(e)) if too_deep(&e)
+    ));
+    let space = MaterialsSpace::generate(3, 8, 777);
+    assert!(matches!(
+        resume_service_bytes(&space, &ServiceConfig::new(1), bytes),
+        Err(ServiceResumeError::Corrupt(e)) if too_deep(&e)
+    ));
+    assert!(matches!(
+        resume_campaign_fleet_recorded_bytes(&space, &FleetConfig::new(1), bytes),
+        Err(FleetResumeError::Corrupt(e)) if too_deep(&e)
+    ));
 }
