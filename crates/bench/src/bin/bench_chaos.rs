@@ -19,8 +19,8 @@
 
 use evoflow_bench::{fmt, print_table, write_bench_summary};
 use evoflow_core::{
-    fleet_death_point, resume_campaign_fleet, run_campaign_fleet_timed, run_campaign_fleet_until,
-    Cell, FleetConfig, MaterialsSpace,
+    fleet_death_point, resume_campaign_fleet, run_campaign_fleet, run_campaign_fleet_until, Cell,
+    FleetConfig, MaterialsSpace,
 };
 use evoflow_sim::{ChaosSchedule, ChaosSpec, RngRegistry, SimDuration};
 use evoflow_sm::IntelligenceLevel;
@@ -106,7 +106,7 @@ fn fleet_battery(threads: usize) -> (Vec<FleetRow>, f64) {
     let space = MaterialsSpace::generate(3, 8, 555);
     let cfg = build_fleet(threads);
     let started = Instant::now();
-    let (baseline, _) = run_campaign_fleet_timed(&space, &cfg);
+    let baseline = run_campaign_fleet(&space, &cfg);
     let clean_wall = started.elapsed().as_secs_f64();
     let baseline_json = serde_json::to_string(&baseline).expect("report serializes");
 

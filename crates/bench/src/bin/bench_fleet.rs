@@ -29,7 +29,7 @@
 
 use evoflow_bench::{fmt, print_table, write_bench_summary};
 use evoflow_core::{
-    run_campaign_fleet_profiled, run_campaign_fleet_timed, Cell, FleetConfig, MaterialsSpace,
+    run_campaign_fleet, run_campaign_fleet_profiled, Cell, FleetConfig, MaterialsSpace,
 };
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
@@ -184,10 +184,12 @@ fn main() {
         let mut json = String::new();
         let mut experiments = 0u64;
         let wall = min_secs(|| {
-            let (report, timing) = run_campaign_fleet_timed(&space, &cfg);
+            let started = Instant::now();
+            let report = run_campaign_fleet(&space, &cfg);
+            let wall = started.elapsed().as_secs_f64();
             json = serde_json::to_string(&report).expect("report serializes");
             experiments = report.total_experiments;
-            timing.wall_clock.as_secs_f64()
+            wall
         });
         if threads == 1 {
             baseline_secs = wall;
@@ -235,10 +237,12 @@ fn main() {
     let mut recorded_json = String::new();
     let mut breakdown = None;
     let recorded_secs = min_secs(|| {
-        let (report, _ledger, prof, timing) = run_campaign_fleet_profiled(&space, &serial_cfg);
+        let started = Instant::now();
+        let (report, _ledger, prof) = run_campaign_fleet_profiled(&space, &serial_cfg);
+        let wall = started.elapsed().as_secs_f64();
         recorded_json = serde_json::to_string(&report).expect("report serializes");
         breakdown = Some(prof);
-        timing.wall_clock.as_secs_f64()
+        wall
     });
     assert_eq!(
         recorded_json, baseline_json,

@@ -31,6 +31,7 @@ use evoflow_core::{
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
+use std::time::Instant;
 
 fn build_fleet(campaigns: usize, threads: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(4321);
@@ -51,7 +52,9 @@ fn main() {
     let cfg = build_fleet(campaigns, 1);
 
     // ---- Profile the fleet (serial: steal phase is empty by design) ----
-    let (report, ledger, profile, timing) = run_campaign_fleet_profiled(&space, &cfg);
+    let started = Instant::now();
+    let (report, ledger, profile) = run_campaign_fleet_profiled(&space, &cfg);
+    let wall = started.elapsed();
     let total_nanos = profile.total_nanos().max(1);
 
     let table: Vec<Vec<String>> = profile
@@ -69,7 +72,7 @@ fn main() {
     print_table(
         &format!(
             "Phase breakdown, {campaigns} recorded campaigns ({:.3}s wall)",
-            timing.wall_clock.as_secs_f64()
+            wall.as_secs_f64()
         ),
         &["phase", "count", "ms", "share"],
         &table,
@@ -93,14 +96,14 @@ fn main() {
     println!("  [PASS] profiled report + ledger byte-identical to unprofiled");
 
     // ---- Gate: counts are deterministic (rerun + thread count) ---------
-    let (_, _, rerun, _) = run_campaign_fleet_profiled(&space, &cfg);
+    let (_, _, rerun) = run_campaign_fleet_profiled(&space, &cfg);
     assert_eq!(
         profile.counts_only(),
         rerun.counts_only(),
         "phase counts changed on rerun"
     );
     let threaded_cfg = build_fleet(campaigns, 2);
-    let (_, _, threaded, _) = run_campaign_fleet_profiled(&space, &threaded_cfg);
+    let (_, _, threaded) = run_campaign_fleet_profiled(&space, &threaded_cfg);
     let serial_counts = profile.counts_only();
     let threaded_counts = threaded.counts_only();
     for (s, t) in serial_counts

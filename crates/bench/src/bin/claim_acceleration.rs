@@ -13,7 +13,6 @@ use evoflow_core::{run_campaign, CampaignConfig, Cell, CoordinationMode, Materia
 use evoflow_facility::HumanModel;
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
-use rayon::prelude::*;
 use serde::Serialize;
 
 const DAYS: u64 = 28;
@@ -31,7 +30,6 @@ struct Config {
 
 fn run(label: &str, cell: Cell, coord: CoordinationMode, space: &MaterialsSpace) -> Config {
     let reports: Vec<_> = (0..SEEDS)
-        .into_par_iter()
         .map(|seed| {
             let mut cfg = CampaignConfig::for_cell(cell, seed * 31 + 5);
             cfg.horizon = SimDuration::from_days(DAYS);

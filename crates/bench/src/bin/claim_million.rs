@@ -2,16 +2,14 @@
 //! over one million candidate compounds" (§6.1).**
 //!
 //! Screens 1,000,000 synthetic candidates with a swarm of surrogate-guided
-//! screening agents (rayon-parallel, per the HPC guides): a cheap learned
-//! filter triages the full space, the promising fraction is "synthesized"
-//! (expensively measured), and the hit yield is compared against blind
-//! screening of the same budget.
+//! screening agents: a cheap learned filter triages the full space, the
+//! promising fraction is "synthesized" (expensively measured), and the hit
+//! yield is compared against blind screening of the same budget.
 
 use evoflow_bench::{fmt, print_table, write_results};
 use evoflow_core::MaterialsSpace;
 use evoflow_learn::RbfSurrogate;
 use evoflow_sim::{RngRegistry, SimRng};
-use rayon::prelude::*;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -36,7 +34,6 @@ fn main() {
     // Generate the 1M candidate pool deterministically.
     let t0 = Instant::now();
     let pool: Vec<Vec<f64>> = (0..TOTAL)
-        .into_par_iter()
         .map(|i| {
             let mut rng = reg.stream_indexed("candidate", i as u64);
             (0..DIM).map(|_| rng.uniform()).collect()
@@ -57,11 +54,11 @@ fn main() {
         surrogate.observe(&x, -y); // surrogate minimizes
     }
 
-    // Swarm screening: score all 1M candidates in parallel, take the top
+    // Swarm screening: score all 1M candidates, take the top
     // EXPENSIVE_BUDGET for real measurement.
     let t1 = Instant::now();
     let mut scored: Vec<(usize, f64)> = pool
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, x)| {
             let (neg_pred, unc) = surrogate.predict(x);
@@ -73,7 +70,7 @@ fn main() {
 
     let measure_set = |indices: &[usize], stream: &str| -> (usize, usize) {
         let hits_and_peaks: Vec<(bool, Option<usize>)> = indices
-            .par_iter()
+            .iter()
             .map(|&i| {
                 let mut rng: SimRng = reg.stream_indexed(stream, i as u64);
                 let score = space.measure(&pool[i], &mut rng);

@@ -10,10 +10,11 @@
 use evoflow_bench::{fmt, print_table, write_results};
 use evoflow_coord::consensus::topology;
 use evoflow_coord::{gossip_consensus, run_quorum, QuorumConfig};
-use evoflow_core::{run_campaign_fleet_timed, Cell, FleetConfig, MaterialsSpace};
+use evoflow_core::{run_campaign_fleet, Cell, FleetConfig, MaterialsSpace};
 use evoflow_sim::{SimDuration, SimRng};
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
+use std::time::Instant;
 
 #[derive(Serialize)]
 struct ScaleRow {
@@ -147,7 +148,9 @@ fn main() {
             ),
             4,
         );
-        let (report, timing) = run_campaign_fleet_timed(&space, &cfg);
+        let started = Instant::now();
+        let report = run_campaign_fleet(&space, &cfg);
+        let wall_secs = started.elapsed().as_secs_f64();
         let cell = &report.per_cell[0];
         fleet_rows.push(FleetRow {
             k,
@@ -155,7 +158,7 @@ fn main() {
             experiments: cell.experiments,
             distinct: cell.distinct_discoveries,
             samples_per_day_mean: cell.samples_per_day.mean,
-            wall_secs: timing.wall_clock.as_secs_f64(),
+            wall_secs,
         });
     }
     let table: Vec<Vec<String>> = fleet_rows

@@ -14,7 +14,6 @@ use evoflow_core::{
 use evoflow_facility::HumanModel;
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
-use rayon::prelude::*;
 use serde::Serialize;
 
 const DAYS: u64 = 21;
@@ -39,7 +38,6 @@ fn main() {
     let mut steps = Vec::new();
     for (i, cell) in path.iter().enumerate() {
         let reports: Vec<_> = (0..SEEDS)
-            .into_par_iter()
             .map(|seed| {
                 let mut cfg = CampaignConfig::for_cell(*cell, seed * 13 + 3);
                 cfg.horizon = SimDuration::from_days(DAYS);

@@ -13,7 +13,6 @@
 use evoflow_bench::{fmt, print_table, write_results};
 use evoflow_sim::SimRng;
 use evoflow_sm::{controller_for_level, run_episode, IntelligenceLevel, Scenario};
-use rayon::prelude::*;
 use serde::Serialize;
 
 const SEEDS: u64 = 24;
@@ -31,10 +30,8 @@ struct CellResult {
 }
 
 fn evaluate(level: IntelligenceLevel, scenario: Scenario) -> CellResult {
-    // Parallel over seeds, per the HPC guide idiom: independent replications
-    // are the embarrassingly parallel axis.
+    // Independent seeded replications, one episode per seed.
     let runs: Vec<_> = (0..SEEDS)
-        .into_par_iter()
         .map(|seed| {
             let mut m = controller_for_level(level, seed * 7 + 1);
             let mut rng = SimRng::from_seed_u64(seed ^ 0x5EED);

@@ -1,10 +1,9 @@
 //! # evoflow-bench — experiment harness and shared reporting helpers
 //!
-//! One binary per paper table/figure/claim lives in `src/bin/`; criterion
-//! micro-benchmarks live in `benches/`. This library holds the shared
-//! plumbing: aligned table printing (the binaries reproduce the paper's
-//! rows/series on stdout) and JSON result artifacts under `results/`
-//! (from which EXPERIMENTS.md is compiled).
+//! One binary per paper table/figure/claim lives in `src/bin/`. This
+//! library holds the shared plumbing: aligned table printing (the
+//! binaries reproduce the paper's rows/series on stdout) and JSON result
+//! artifacts under `results/` (from which EXPERIMENTS.md is compiled).
 
 use serde::Serialize;
 use std::io::Write;

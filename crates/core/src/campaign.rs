@@ -52,7 +52,9 @@ pub struct CampaignConfig {
     pub horizon: SimDuration,
     /// Candidates per iteration per lane.
     pub batch_per_lane: usize,
-    /// Parallel execution lanes (None = derive from composition).
+    /// Parallel execution lanes (None or 0 = derive from composition,
+    /// the same "0 means default" rule as the fleet and service thread
+    /// counts, service pacing and tenant quotas).
     pub lanes: Option<usize>,
     /// Coordination mode (None = derive: Intelligent ⇒ autonomous,
     /// otherwise human-gated).
@@ -102,14 +104,17 @@ impl CampaignConfig {
             .unwrap_or_else(|| PlannerKind::for_level(self.cell.intelligence))
     }
 
-    /// Lanes implied by the composition pattern.
+    /// The lanes the campaign runs: the configured count, or the one
+    /// implied by the composition pattern when that is absent or 0.
     pub fn effective_lanes(&self) -> usize {
-        self.lanes.unwrap_or(match self.cell.composition {
-            Pattern::Single | Pattern::Pipeline => 1,
-            Pattern::Hierarchical => 3,
-            Pattern::Mesh => 4,
-            Pattern::Swarm { .. } => 8,
-        })
+        self.lanes
+            .filter(|&n| n > 0)
+            .unwrap_or(match self.cell.composition {
+                Pattern::Single | Pattern::Pipeline => 1,
+                Pattern::Hierarchical => 3,
+                Pattern::Mesh => 4,
+                Pattern::Swarm { .. } => 8,
+            })
     }
 
     /// Coordination implied by the intelligence level.
@@ -858,6 +863,13 @@ mod tests {
         assert_eq!(a.experiments, b.experiments);
         assert_eq!(a.distinct_discoveries, b.distinct_discoveries);
         assert_eq!(a.best_score, b.best_score);
+
+        // Seeded replay of an autonomous-science campaign.
+        let space = MaterialsSpace::generate(3, 8, 42);
+        let mut cfg = CampaignConfig::for_cell(Cell::autonomous_science(), 11);
+        cfg.horizon = SimDuration::from_days(1);
+        cfg.coordination = Some(CoordinationMode::Autonomous);
+        assert_eq!(run_campaign(&space, &cfg), run_campaign(&space, &cfg));
     }
 
     #[test]
@@ -946,5 +958,9 @@ mod tests {
             0,
         );
         assert_eq!(c.effective_lanes(), 8);
+        // Zero lanes means "derive", like an absent count.
+        let mut zero = c.clone();
+        zero.lanes = Some(0);
+        assert_eq!(zero.effective_lanes(), 8);
     }
 }

@@ -24,9 +24,15 @@
 //!    [`evoflow_sim::SampleStats::merge`], so the per-cell distributions
 //!    are independent of completion order.
 //!
-//! Wall-clock timing deliberately lives *outside* [`FleetReport`] (see
-//! [`run_campaign_fleet_timed`]): a report that embedded its own elapsed
-//! time could never be byte-identical across thread counts.
+//! Every entry point here, and the federated and service sessions above
+//! them, is a few lines over one commit-slot table, filled by one driver
+//! (skip committed slots, run the rest, hand each result to a commit hook
+//! in task order) and refilled from a checkpoint by one resume handshake
+//! (lengths, then seeds, then report/ledger presence).
+//!
+//! Wall-clock timing deliberately lives *outside* [`FleetReport`]:
+//! callers time a run themselves, because a report that embedded its own
+//! elapsed time could never be byte-identical across thread counts.
 //!
 //! ```
 //! use evoflow_core::{run_campaign_fleet, Cell, FleetConfig, MaterialsSpace};
@@ -60,7 +66,7 @@ use evoflow_sim::{ChaosSchedule, ChaosSpec, RngRegistry, SampleStats, SimDuratio
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Stream label under which fleet campaign seeds are derived from the
 /// master seed (`RngRegistry::shard_seed(FLEET_SHARD_LABEL, index)`).
@@ -125,14 +131,7 @@ impl FleetConfig {
     /// pin an explicit thread count wherever the value ends up in a
     /// host-independent artifact.
     pub fn effective_threads(&self) -> usize {
-        let n = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        n.max(1).min(self.campaigns.len().max(1))
+        worker_threads(self.threads, self.campaigns.len())
     }
 
     /// The campaign configs with their derived shard seeds filled in —
@@ -149,6 +148,17 @@ impl FleetConfig {
             })
             .collect()
     }
+}
+
+/// Worker threads for `tasks` tasks: `threads`, or one per host core when
+/// it is 0, never more than the tasks.
+pub(crate) fn worker_threads(threads: usize, tasks: usize) -> usize {
+    let n = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
+    };
+    n.min(tasks.max(1))
 }
 
 /// Five-number-free summary of a per-campaign metric across one cell.
@@ -295,16 +305,6 @@ impl FleetReport {
     }
 }
 
-/// Wall-clock measurements of a fleet run — kept out of [`FleetReport`]
-/// so reports stay byte-identical across thread counts.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetTiming {
-    /// Worker threads actually used.
-    pub threads: usize,
-    /// Elapsed wall-clock time for the whole fleet.
-    pub wall_clock: Duration,
-}
-
 /// A lock-free claim queue over task indices, claiming tasks in
 /// *chunks*.
 ///
@@ -354,39 +354,6 @@ pub(crate) struct StealStats {
     pub(crate) nanos: u64,
 }
 
-/// Execute the fleet tasks `tasks` (pairs of shard index + config) across
-/// `threads` workers with the task runner `run`, committing at most
-/// `commit_cap` results and handing each to `deliver`.
-///
-/// The cap models a coordinator crash: workers stop claiming once the
-/// fleet-wide commit counter reaches the cap, and a campaign that
-/// finishes after the counter is exhausted is *discarded* — exactly the
-/// in-flight work a real crash loses. `None` commits everything.
-///
-/// `deliver` runs on the calling thread and receives every committed
-/// result with its shard index, **in task order**: a result is delivered
-/// as soon as it and every earlier task have committed, while the workers
-/// keep running. Results a commit cap left behind a gap (a discarded or
-/// never-run task) are delivered, still in task order, once every worker
-/// has exited. The runner is generic so the same claim/steal/commit
-/// machinery serves both plain execution ([`run_campaign`]) and
-/// ledger-recording execution ([`run_campaign_recorded`]) — and the
-/// multi-tenant service layer ([`crate::service`]) streams its admitted
-/// campaigns through it too.
-pub(crate) fn execute_fleet_tasks_with<R, F, D>(
-    tasks: &[(usize, CampaignConfig)],
-    threads: usize,
-    commit_cap: Option<usize>,
-    run: F,
-    deliver: D,
-) where
-    R: Send,
-    F: Fn(&CampaignConfig) -> R + Sync,
-    D: FnMut(usize, R),
-{
-    execute_fleet_tasks_steal_timed(tasks, threads, commit_cap, false, run, deliver);
-}
-
 /// The results workers hand to the calling thread: one slot per task,
 /// filled as the task commits, and the number of workers still running.
 struct Handoff<R> {
@@ -421,10 +388,26 @@ impl<R> Drop for WorkerExit<'_, R> {
     }
 }
 
-/// [`execute_fleet_tasks_with`] plus claim-side counters. With
-/// `time_steals` false the claim path reads no clock (one local counter
-/// increment per chunk); with it true, each `claim` call is wall-timed —
-/// the *steal* phase of a profiled fleet run.
+/// The fleet executor: run the tasks `tasks` (pairs of slot index +
+/// config) across `threads` workers with the task runner `run`,
+/// committing at most `commit_cap` results and handing each to
+/// `deliver`.
+///
+/// The cap models a coordinator crash: workers stop claiming once the
+/// fleet-wide commit counter reaches the cap, and a campaign that
+/// finishes after the counter is exhausted is *discarded* — exactly the
+/// in-flight work a real crash loses. `None` commits everything.
+///
+/// `deliver` runs on the calling thread and receives every committed
+/// result with its slot index, **in task order**: a result is delivered
+/// as soon as it and every earlier task have committed, while the workers
+/// keep running. Results a commit cap left behind a gap (a discarded or
+/// never-run task) are delivered, still in task order, once every worker
+/// has exited.
+///
+/// With `time_steals` false the claim path reads no clock (one local
+/// counter increment per chunk); with it true, each `claim` call is
+/// wall-timed — the *steal* phase of a profiled fleet run.
 ///
 /// A panicking task surfaces as a panic of this call once every worker
 /// has exited; results delivered before it stay delivered.
@@ -552,48 +535,199 @@ where
     steals
 }
 
-/// The plain-report runner over [`execute_fleet_tasks_with`].
-fn execute_fleet_tasks(
-    space: &MaterialsSpace,
-    tasks: &[(usize, CampaignConfig)],
-    threads: usize,
+// ---- the commit-slot driver ---------------------------------------------------
+
+/// What one fleet task commits into its slot: its report, plus its
+/// ledger when the session records.
+pub(crate) trait SlotOutput: Send {
+    /// Split into the slot's report and ledger.
+    fn into_slot(self) -> (CampaignReport, Option<CampaignLedger>);
+}
+
+impl SlotOutput for CampaignReport {
+    fn into_slot(self) -> (CampaignReport, Option<CampaignLedger>) {
+        (self, None)
+    }
+}
+
+impl SlotOutput for (CampaignReport, CampaignLedger) {
+    fn into_slot(self) -> (CampaignReport, Option<CampaignLedger>) {
+        (self.0, Some(self.1))
+    }
+}
+
+/// A profiled campaign's breakdown goes to the commit hook, not a slot.
+impl SlotOutput for (CampaignReport, CampaignLedger, PhaseBreakdown) {
+    fn into_slot(self) -> (CampaignReport, Option<CampaignLedger>) {
+        (self.0, Some(self.1))
+    }
+}
+
+/// The commit-slot table under every fleet and service session: one
+/// report slot per campaign, plus one ledger slot per campaign when the
+/// session records, each `None` until its campaign commits.
+///
+/// A slot is a campaign's place in seed order — its shard index in a
+/// fleet, its admission index in a service session — whatever order the
+/// tasks run in. A kill leaves some slots empty; a checkpoint stores the
+/// table; a resume refills it through [`CommitSlots::resume`] and runs
+/// only the empty slots.
+pub(crate) struct CommitSlots {
+    pub(crate) reports: Vec<Option<CampaignReport>>,
+    /// Empty when the session does not record.
+    pub(crate) ledgers: Vec<Option<CampaignLedger>>,
+}
+
+impl CommitSlots {
+    /// A table of `slots` empty slots, with ledger slots when `recorded`.
+    pub(crate) fn new(slots: usize, recorded: bool) -> Self {
+        CommitSlots {
+            reports: vec![None; slots],
+            ledgers: vec![None; if recorded { slots } else { 0 }],
+        }
+    }
+
+    /// The one resume handshake. A checkpoint's per-slot lists are
+    /// spliced back into a table only if every list has one entry per
+    /// slot of `seeds` (`ledgers` is `None` for an unrecorded checkpoint),
+    /// then every stored seed equals the re-derived one, then every slot
+    /// holds its report and ledger together or neither; otherwise the
+    /// first failing check is refused, at its first failing slot.
+    pub(crate) fn resume(
+        seeds: &[u64],
+        checkpoint_seeds: &[u64],
+        reports: &[Option<CampaignReport>],
+        ledgers: Option<&[Option<CampaignLedger>]>,
+    ) -> Result<Self, FleetResumeError> {
+        let ledger_slots = ledgers.map_or(reports.len(), <[_]>::len);
+        if let Some(checkpoint) = [checkpoint_seeds.len(), reports.len(), ledger_slots]
+            .into_iter()
+            .find(|&len| len != seeds.len())
+        {
+            return Err(FleetResumeError::ShapeMismatch {
+                checkpoint,
+                fleet: seeds.len(),
+            });
+        }
+        if let Some(index) = seeds.iter().zip(checkpoint_seeds).position(|(a, b)| a != b) {
+            return Err(FleetResumeError::SeedMismatch { index });
+        }
+        let ledgers = ledgers.unwrap_or_default();
+        if let Some(index) = ledgers
+            .iter()
+            .zip(reports)
+            .position(|(l, r)| l.is_some() != r.is_some())
+        {
+            return Err(FleetResumeError::LedgerMismatch { index });
+        }
+        Ok(CommitSlots {
+            reports: reports.to_vec(),
+            ledgers: ledgers.to_vec(),
+        })
+    }
+
+    /// The one driver: run every task whose slot is still empty, in the
+    /// order given, through the fleet executor
+    /// ([`execute_fleet_tasks_steal_timed`]); commit at most `commit_cap`
+    /// of them; store each result in its slot; and hand each to
+    /// `on_commit` on the calling thread, in task order, as it commits.
+    /// Returns the executor's claim counters.
+    pub(crate) fn drive<R: SlotOutput>(
+        &mut self,
+        tasks: impl IntoIterator<Item = (usize, CampaignConfig)>,
+        threads: usize,
+        commit_cap: Option<usize>,
+        time_steals: bool,
+        run: impl Fn(&CampaignConfig) -> R + Sync,
+        mut on_commit: impl FnMut(usize, &R),
+    ) -> StealStats {
+        let tasks: Vec<(usize, CampaignConfig)> = tasks
+            .into_iter()
+            .filter(|(slot, _)| self.reports[*slot].is_none())
+            .collect();
+        execute_fleet_tasks_steal_timed(
+            &tasks,
+            threads,
+            commit_cap,
+            time_steals,
+            run,
+            |slot, out| {
+                on_commit(slot, &out);
+                let (report, ledger) = out.into_slot();
+                self.reports[slot] = Some(report);
+                if ledger.is_some() {
+                    self.ledgers[slot] = ledger;
+                }
+            },
+        )
+    }
+
+    /// The audit trail of a kill: the coordinator died after the commits
+    /// it truly absorbed (a cap larger than the session never fires
+    /// mid-run), and the checkpoint holds them. Deliberately not part of
+    /// any merged ledger: the uninterrupted session never crashed.
+    pub(crate) fn kill_events(&self) -> Vec<CampaignEvent> {
+        let committed = self.reports.iter().filter(|r| r.is_some()).count();
+        vec![
+            CampaignEvent::CoordinatorKilled {
+                after_commits: committed,
+            },
+            CampaignEvent::CheckpointTaken {
+                committed,
+                total: self.reports.len(),
+            },
+        ]
+    }
+
+    /// Fold a fully committed table into its report and merged ledger,
+    /// in slot order (the ledger is empty unless the session recorded).
+    pub(crate) fn finish(self, master_seed: u64) -> (FleetReport, FleetLedger) {
+        let all = "every slot is checkpointed or just run";
+        let reports = self.reports.into_iter().map(|r| r.expect(all)).collect();
+        let campaigns = self.ledgers.into_iter().map(|l| l.expect(all)).collect();
+        (
+            FleetReport::from_reports(master_seed, reports),
+            FleetLedger {
+                master_seed,
+                campaigns,
+            },
+        )
+    }
+}
+
+/// Drive the fleet's shards through `slots` (slot = shard index) with
+/// `run`, committing at most `commit_cap`.
+fn drive_shards<R: SlotOutput>(
+    slots: &mut CommitSlots,
+    cfg: &FleetConfig,
+    shards: Vec<CampaignConfig>,
     commit_cap: Option<usize>,
-    deliver: impl FnMut(usize, CampaignReport),
+    run: impl Fn(&CampaignConfig) -> R + Sync,
 ) {
-    execute_fleet_tasks_with(
+    let tasks = shards.into_iter().enumerate();
+    slots.drive(
         tasks,
-        threads,
+        cfg.effective_threads(),
         commit_cap,
-        |c| run_campaign(space, c),
-        deliver,
+        false,
+        run,
+        |_, _| {},
     );
 }
 
-/// Run a fleet of campaigns and report aggregate outcomes plus timing.
-pub fn run_campaign_fleet_timed(
-    space: &MaterialsSpace,
-    cfg: &FleetConfig,
-) -> (FleetReport, FleetTiming) {
-    let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let started = Instant::now();
-
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    // Results arrive in task order, which here is shard order.
-    let mut reports = Vec::with_capacity(tasks.len());
-    execute_fleet_tasks(space, &tasks, threads, None, |_, r| reports.push(r));
-    let report = FleetReport::from_reports(cfg.master_seed, reports);
-    let timing = FleetTiming {
-        threads,
-        wall_clock: started.elapsed(),
-    };
-    (report, timing)
+/// The shard seeds of `shards`, in shard order — the resume handshake key.
+fn shard_seeds(shards: &[CampaignConfig]) -> Vec<u64> {
+    shards.iter().map(|c| c.seed).collect()
 }
 
 /// Run a fleet of campaigns: M campaigns sharded across N worker threads,
 /// deterministic regardless of N. See the module docs for the design.
 pub fn run_campaign_fleet(space: &MaterialsSpace, cfg: &FleetConfig) -> FleetReport {
-    run_campaign_fleet_timed(space, cfg).0
+    let mut slots = CommitSlots::new(cfg.campaigns.len(), false);
+    drive_shards(&mut slots, cfg, cfg.sharded_campaigns(), None, |c| {
+        run_campaign(space, c)
+    });
+    slots.finish(cfg.master_seed).0
 }
 
 /// A durable record of a partially executed fleet: which campaigns
@@ -622,22 +756,11 @@ pub struct FleetCheckpoint {
 impl FleetCheckpoint {
     /// An empty checkpoint for `cfg` (nothing committed yet).
     pub fn empty(cfg: &FleetConfig) -> Self {
-        Self::from_shards(cfg.master_seed, &cfg.sharded_campaigns())
-    }
-
-    /// An empty checkpoint over already-derived shards (avoids a second
-    /// seed-derivation pass when the caller holds them).
-    fn from_shards(master_seed: u64, shards: &[CampaignConfig]) -> Self {
         FleetCheckpoint {
-            master_seed,
-            shard_seeds: shards.iter().map(|c| c.seed).collect(),
-            completed: (0..shards.len()).map(|_| None).collect(),
+            master_seed: cfg.master_seed,
+            shard_seeds: shard_seeds(&cfg.sharded_campaigns()),
+            completed: vec![None; cfg.campaigns.len()],
         }
-    }
-
-    /// Record a committed campaign report.
-    pub fn record(&mut self, index: usize, report: CampaignReport) {
-        self.completed[index] = Some(report);
     }
 
     /// Campaigns whose reports committed.
@@ -656,29 +779,31 @@ impl FleetCheckpoint {
     }
 }
 
-/// Why a fleet resume was refused.
+/// Why a resume was refused — by the one handshake every fleet,
+/// federated and service checkpoint goes through, or at the wire level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetResumeError {
-    /// Checkpoint campaign count does not match the fleet config.
+    /// A checkpoint's per-slot list does not have one entry per campaign
+    /// of the config.
     ShapeMismatch {
-        /// Campaigns in the checkpoint.
+        /// Entries in the first checkpoint list whose length differs.
         checkpoint: usize,
-        /// Campaigns in the fleet config.
+        /// Campaigns in the config.
         fleet: usize,
     },
-    /// A derived shard seed differs from the checkpoint's — the
-    /// checkpoint belongs to a different fleet (or the config drifted),
+    /// A derived seed differs from the checkpoint's — the checkpoint
+    /// belongs to a different fleet or session (or the config drifted),
     /// so splicing its reports would fabricate results.
     SeedMismatch {
-        /// First shard whose seed disagrees.
+        /// First slot whose seed disagrees.
         index: usize,
     },
-    /// A [`FleetLedgerCheckpoint`] shard has a committed report without
-    /// its ledger (or a ledger without its report) — the checkpoint was
+    /// A recorded checkpoint slot has a committed report without its
+    /// ledger (or a ledger without its report) — the checkpoint was
     /// assembled inconsistently, so splicing it would desynchronise the
     /// report from the audit trail.
     LedgerMismatch {
-        /// First shard whose report/ledger presence disagrees.
+        /// First slot whose report/ledger presence disagrees.
         index: usize,
     },
     /// Serialized checkpoint bytes were refused at the wire level
@@ -693,17 +818,17 @@ impl std::fmt::Display for FleetResumeError {
         match self {
             FleetResumeError::ShapeMismatch { checkpoint, fleet } => write!(
                 f,
-                "checkpoint has {checkpoint} campaigns, fleet config has {fleet}"
+                "checkpoint has {checkpoint} campaigns, config has {fleet}"
             ),
             FleetResumeError::SeedMismatch { index } => write!(
                 f,
-                "shard {index}'s derived seed differs from the checkpoint — \
-                 checkpoint does not belong to this fleet config"
+                "slot {index}'s derived seed differs from the checkpoint — \
+                 checkpoint does not belong to this config"
             ),
             FleetResumeError::LedgerMismatch { index } => write!(
                 f,
-                "shard {index} has a committed report and ledger that disagree \
-                 on presence — the ledger checkpoint is inconsistent"
+                "slot {index} has a committed report and ledger that disagree \
+                 on presence — the checkpoint is inconsistent"
             ),
             FleetResumeError::Corrupt(e) => write!(f, "corrupt checkpoint bytes: {e}"),
         }
@@ -744,13 +869,16 @@ pub fn run_campaign_fleet_until(
     max_completions: usize,
 ) -> FleetCheckpoint {
     let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let mut ckpt = FleetCheckpoint::from_shards(cfg.master_seed, &shards);
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    execute_fleet_tasks(space, &tasks, threads, Some(max_completions), |i, r| {
-        ckpt.record(i, r)
+    let shard_seeds = shard_seeds(&shards);
+    let mut slots = CommitSlots::new(shards.len(), false);
+    drive_shards(&mut slots, cfg, shards, Some(max_completions), |c| {
+        run_campaign(space, c)
     });
-    ckpt
+    FleetCheckpoint {
+        master_seed: cfg.master_seed,
+        shard_seeds,
+        completed: slots.reports,
+    }
 }
 
 /// Resume an interrupted fleet from a [`FleetCheckpoint`]: re-run only
@@ -767,41 +895,14 @@ pub fn resume_campaign_fleet(
     checkpoint: &FleetCheckpoint,
 ) -> Result<FleetReport, FleetResumeError> {
     let shards = cfg.sharded_campaigns();
-    validate_fleet_checkpoint(&shards, checkpoint)?;
-    let threads = cfg.effective_threads();
-    let missing: Vec<(usize, CampaignConfig)> = shards
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| checkpoint.completed[*i].is_none())
-        .collect();
-    let mut reports: Vec<Option<CampaignReport>> = checkpoint.completed.clone();
-    execute_fleet_tasks(space, &missing, threads, None, |i, r| reports[i] = Some(r));
-    let ordered: Vec<CampaignReport> = reports
-        .into_iter()
-        .map(|r| r.expect("checkpointed or just re-run"))
-        .collect();
-    Ok(FleetReport::from_reports(cfg.master_seed, ordered))
-}
-
-/// The resume handshake shared by plain and recorded resumes: the
-/// checkpoint must match the fleet's shape and derive the same shard
-/// seeds, or splicing its reports would fabricate results.
-fn validate_fleet_checkpoint(
-    shards: &[CampaignConfig],
-    checkpoint: &FleetCheckpoint,
-) -> Result<(), FleetResumeError> {
-    if checkpoint.completed.len() != shards.len() || checkpoint.shard_seeds.len() != shards.len() {
-        return Err(FleetResumeError::ShapeMismatch {
-            checkpoint: checkpoint.completed.len().max(checkpoint.shard_seeds.len()),
-            fleet: shards.len(),
-        });
-    }
-    for (i, shard) in shards.iter().enumerate() {
-        if shard.seed != checkpoint.shard_seeds[i] {
-            return Err(FleetResumeError::SeedMismatch { index: i });
-        }
-    }
-    Ok(())
+    let mut slots = CommitSlots::resume(
+        &shard_seeds(&shards),
+        &checkpoint.shard_seeds,
+        &checkpoint.completed,
+        None,
+    )?;
+    drive_shards(&mut slots, cfg, shards, None, |c| run_campaign(space, c));
+    Ok(slots.finish(cfg.master_seed).0)
 }
 
 // ---- ledger-recording execution ---------------------------------------------
@@ -817,28 +918,11 @@ pub fn run_campaign_fleet_recorded(
     space: &MaterialsSpace,
     cfg: &FleetConfig,
 ) -> (FleetReport, FleetLedger) {
-    let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut reports = Vec::with_capacity(tasks.len());
-    let mut campaigns = Vec::with_capacity(tasks.len());
-    execute_fleet_tasks_with(
-        &tasks,
-        threads,
-        None,
-        |c| run_campaign_recorded(space, c),
-        |_, (report, ledger)| {
-            reports.push(report);
-            campaigns.push(ledger);
-        },
-    );
-    (
-        FleetReport::from_reports(cfg.master_seed, reports),
-        FleetLedger {
-            master_seed: cfg.master_seed,
-            campaigns,
-        },
-    )
+    let mut slots = CommitSlots::new(cfg.campaigns.len(), true);
+    drive_shards(&mut slots, cfg, cfg.sharded_campaigns(), None, |c| {
+        run_campaign_recorded(space, c)
+    });
+    slots.finish(cfg.master_seed)
 }
 
 /// Run a *recording* fleet with hot-path phase profiling: every campaign
@@ -851,17 +935,12 @@ pub fn run_campaign_fleet_recorded(
 pub fn run_campaign_fleet_profiled(
     space: &MaterialsSpace,
     cfg: &FleetConfig,
-) -> (FleetReport, FleetLedger, PhaseBreakdown, FleetTiming) {
-    let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let started = Instant::now();
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut reports = Vec::with_capacity(tasks.len());
-    let mut campaigns = Vec::with_capacity(tasks.len());
+) -> (FleetReport, FleetLedger, PhaseBreakdown) {
+    let mut slots = CommitSlots::new(cfg.campaigns.len(), true);
     let mut merged = PhaseProfiler::enabled();
-    let steals = execute_fleet_tasks_steal_timed(
-        &tasks,
-        threads,
+    let steals = slots.drive(
+        cfg.sharded_campaigns().into_iter().enumerate(),
+        cfg.effective_threads(),
         None,
         true,
         |c| {
@@ -870,26 +949,11 @@ pub fn run_campaign_fleet_profiled(
             let report = run_campaign_profiled(space, c, &mut [&mut ledger], &mut prof);
             (report, ledger, prof.breakdown())
         },
-        |_, (report, ledger, breakdown)| {
-            reports.push(report);
-            campaigns.push(ledger);
-            merged.merge(&breakdown);
-        },
+        |_, (_, _, breakdown)| merged.merge(breakdown),
     );
     merged.add_steals(steals.claims, steals.nanos);
-    let timing = FleetTiming {
-        threads,
-        wall_clock: started.elapsed(),
-    };
-    (
-        FleetReport::from_reports(cfg.master_seed, reports),
-        FleetLedger {
-            master_seed: cfg.master_seed,
-            campaigns,
-        },
-        merged.breakdown(),
-        timing,
-    )
+    let (report, ledger) = slots.finish(cfg.master_seed);
+    (report, ledger, merged.breakdown())
 }
 
 /// A durable record of a partially executed *recording* fleet: the plain
@@ -912,30 +976,6 @@ pub struct FleetLedgerCheckpoint {
     pub events: Vec<CampaignEvent>,
 }
 
-/// The recorded-resume handshake: the plain [`FleetCheckpoint`] checks,
-/// plus every shard's report and ledger must agree on presence.
-fn validate_ledger_checkpoint(
-    shards: &[CampaignConfig],
-    checkpoint: &FleetLedgerCheckpoint,
-) -> Result<(), FleetResumeError> {
-    validate_fleet_checkpoint(shards, &checkpoint.fleet)?;
-    if checkpoint.ledgers.len() != shards.len() {
-        return Err(FleetResumeError::ShapeMismatch {
-            checkpoint: checkpoint.ledgers.len(),
-            fleet: shards.len(),
-        });
-    }
-    if let Some(index) = checkpoint
-        .ledgers
-        .iter()
-        .zip(&checkpoint.fleet.completed)
-        .position(|(l, r)| l.is_some() != r.is_some())
-    {
-        return Err(FleetResumeError::LedgerMismatch { index });
-    }
-    Ok(())
-}
-
 /// Run a recording fleet until `max_completions` campaigns have
 /// committed, then die — the ledger-carrying analogue of
 /// [`run_campaign_fleet_until`]. Each committed campaign's report *and*
@@ -946,36 +986,19 @@ pub fn run_campaign_fleet_recorded_until(
     max_completions: usize,
 ) -> FleetLedgerCheckpoint {
     let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let mut fleet = FleetCheckpoint::from_shards(cfg.master_seed, &shards);
-    let mut ledgers: Vec<Option<CampaignLedger>> = (0..shards.len()).map(|_| None).collect();
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    execute_fleet_tasks_with(
-        &tasks,
-        threads,
-        Some(max_completions),
-        |c| run_campaign_recorded(space, c),
-        |i, (report, ledger)| {
-            fleet.record(i, report);
-            ledgers[i] = Some(ledger);
-        },
-    );
-    // The audit trail records what actually happened: the coordinator
-    // died after the commits it truly absorbed (a cap larger than the
-    // fleet never fires mid-run).
-    let events = vec![
-        CampaignEvent::CoordinatorKilled {
-            after_commits: fleet.completed_count(),
-        },
-        CampaignEvent::CheckpointTaken {
-            committed: fleet.completed_count(),
-            total: fleet.completed.len(),
-        },
-    ];
+    let shard_seeds = shard_seeds(&shards);
+    let mut slots = CommitSlots::new(shards.len(), true);
+    drive_shards(&mut slots, cfg, shards, Some(max_completions), |c| {
+        run_campaign_recorded(space, c)
+    });
     FleetLedgerCheckpoint {
-        fleet,
-        ledgers,
-        events,
+        events: slots.kill_events(),
+        fleet: FleetCheckpoint {
+            master_seed: cfg.master_seed,
+            shard_seeds,
+            completed: slots.reports,
+        },
+        ledgers: slots.ledgers,
     }
 }
 
@@ -994,40 +1017,16 @@ pub fn resume_campaign_fleet_recorded(
     checkpoint: &FleetLedgerCheckpoint,
 ) -> Result<(FleetReport, FleetLedger), FleetResumeError> {
     let shards = cfg.sharded_campaigns();
-    validate_ledger_checkpoint(&shards, checkpoint)?;
-    let threads = cfg.effective_threads();
-    let missing: Vec<(usize, CampaignConfig)> = shards
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| checkpoint.fleet.completed[*i].is_none())
-        .collect();
-    let mut reports: Vec<Option<CampaignReport>> = checkpoint.fleet.completed.clone();
-    let mut ledgers: Vec<Option<CampaignLedger>> = checkpoint.ledgers.clone();
-    execute_fleet_tasks_with(
-        &missing,
-        threads,
-        None,
-        |c| run_campaign_recorded(space, c),
-        |i, (report, ledger)| {
-            reports[i] = Some(report);
-            ledgers[i] = Some(ledger);
-        },
-    );
-    let ordered: Vec<CampaignReport> = reports
-        .into_iter()
-        .map(|r| r.expect("checkpointed or just re-run"))
-        .collect();
-    let campaigns: Vec<CampaignLedger> = ledgers
-        .into_iter()
-        .map(|l| l.expect("checkpointed or just re-run"))
-        .collect();
-    Ok((
-        FleetReport::from_reports(cfg.master_seed, ordered),
-        FleetLedger {
-            master_seed: cfg.master_seed,
-            campaigns,
-        },
-    ))
+    let mut slots = CommitSlots::resume(
+        &shard_seeds(&shards),
+        &checkpoint.fleet.shard_seeds,
+        &checkpoint.fleet.completed,
+        Some(&checkpoint.ledgers),
+    )?;
+    drive_shards(&mut slots, cfg, shards, None, |c| {
+        run_campaign_recorded(space, c)
+    });
+    Ok(slots.finish(cfg.master_seed))
 }
 
 #[cfg(test)]
@@ -1036,6 +1035,7 @@ mod tests {
     use crate::matrix::Cell;
     use evoflow_agents::Pattern;
     use evoflow_sm::IntelligenceLevel;
+    use std::time::Duration;
 
     fn space() -> MaterialsSpace {
         MaterialsSpace::generate(3, 8, 20260610)
@@ -1092,14 +1092,6 @@ mod tests {
         assert_eq!(report.reports.len(), 0);
         assert_eq!(report.total_experiments, 0);
         assert_eq!(report.best_score, 0.0);
-    }
-
-    #[test]
-    fn timing_reports_requested_threads() {
-        let space = space();
-        let (_, timing) = run_campaign_fleet_timed(&space, &small_fleet(3));
-        assert_eq!(timing.threads, 3);
-        assert!(timing.wall_clock.as_nanos() > 0);
     }
 
     #[test]
@@ -1232,10 +1224,11 @@ mod tests {
             let last_done = (Mutex::new(false), Condvar::new());
             let completed = Mutex::new(Vec::new());
             let mut delivered = Vec::new();
-            execute_fleet_tasks_with(
+            execute_fleet_tasks_steal_timed(
                 &tasks,
                 threads,
                 None,
+                false,
                 |c| {
                     let (done, cv) = &last_done;
                     if c.seed == 0 && threads > 1 {
@@ -1271,10 +1264,11 @@ mod tests {
                 let tasks = indexed_tasks(16);
                 let mut delivered = 0;
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_fleet_tasks_with(
+                    execute_fleet_tasks_steal_timed(
                         &tasks,
                         threads,
                         None,
+                        false,
                         |c| {
                             assert_ne!(c.seed, 5, "task 5 fails");
                             c.seed
@@ -1301,10 +1295,11 @@ mod tests {
         for threads in [1usize, 2, 4] {
             for cap in 0..=14usize {
                 let mut delivered = Vec::new();
-                execute_fleet_tasks_with(
+                execute_fleet_tasks_steal_timed(
                     &tasks,
                     threads,
                     Some(cap),
+                    false,
                     |c| std::thread::sleep(Duration::from_micros(200 * (12 - c.seed))),
                     |i, _| delivered.push(i),
                 );

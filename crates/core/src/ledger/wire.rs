@@ -1782,13 +1782,15 @@ pub fn resume_campaign_fleet_recorded_bytes(
 
 /// Resume an interrupted service session from serialized checkpoint
 /// bytes (either encoding). Wire-level refusal surfaces as
-/// [`ServiceResumeError::Corrupt`]; all resume handshakes are unchanged.
+/// [`ServiceResumeError::Checkpoint`] holding
+/// [`FleetResumeError::Corrupt`]; all resume handshakes are unchanged.
 pub fn resume_service_bytes(
     space: &MaterialsSpace,
     cfg: &ServiceConfig,
     bytes: &[u8],
 ) -> Result<(ServiceReport, FleetLedger), ServiceResumeError> {
-    let checkpoint = ServiceCheckpoint::from_bytes(bytes).map_err(ServiceResumeError::Corrupt)?;
+    let checkpoint = ServiceCheckpoint::from_bytes(bytes)
+        .map_err(|e| ServiceResumeError::Checkpoint(FleetResumeError::Corrupt(e)))?;
     resume_service(space, cfg, &checkpoint)
 }
 

@@ -26,6 +26,8 @@
 //!   heterogeneous cells, and deterministic aggregation — byte-identical
 //!   results at any thread count, including across a coordinator crash
 //!   ([`fleet::FleetCheckpoint`] / [`fleet::resume_campaign_fleet`]).
+//!   Every fleet, federated and service run, kill and resume goes through
+//!   its one commit-slot driver and one resume handshake.
 //! * [`federated`] — facility-aware fleet scheduling: a pluggable
 //!   [`federated::PlacementPolicy`] (round-robin, queue-aware least-wait,
 //!   data-locality) places each campaign onto a federation facility,
@@ -51,7 +53,8 @@
 //!   whole schedule planned as a pure function of the config
 //!   ([`service::plan_service`]), so sessions are byte-identical across
 //!   thread counts and kill/resume
-//!   ([`service::ServiceCheckpoint`] / [`service::resume_service`]).
+//!   ([`service::ServiceCheckpoint`] / [`service::resume_service`], on
+//!   the fleet's commit-slot driver and resume handshake).
 //! * [`profile`] — hot-path phase profiling: near-zero-overhead scoped
 //!   counters (propose / execute / observe / emit / steal) threaded
 //!   through the campaign loop and fleet executor, aggregated into a
@@ -93,8 +96,8 @@ pub use federation::{Federation, FederationError, Handshake};
 pub use fleet::{
     fleet_death_point, resume_campaign_fleet, resume_campaign_fleet_recorded, run_campaign_fleet,
     run_campaign_fleet_profiled, run_campaign_fleet_recorded, run_campaign_fleet_recorded_until,
-    run_campaign_fleet_timed, run_campaign_fleet_until, CellSummary, DistSummary, FleetCheckpoint,
-    FleetConfig, FleetLedgerCheckpoint, FleetReport, FleetResumeError, FleetTiming,
+    run_campaign_fleet_until, CellSummary, DistSummary, FleetCheckpoint, FleetConfig,
+    FleetLedgerCheckpoint, FleetReport, FleetResumeError,
 };
 pub use governance::{Action, AuditRecord, GovernanceEngine, Policy, Verdict};
 pub use ide::{panel, render_campaign, render_interventions, render_plane, render_trajectory};

@@ -25,7 +25,8 @@
 //!   no wall clock, no completion feedback — so the schedule (and every
 //!   derived seed) is byte-stable across reruns, thread counts, and
 //!   restarts. Execution then multiplexes the dispatch order onto the
-//!   fleet's work-stealing executor.
+//!   fleet's work-stealing executor, through the same commit-slot driver
+//!   every fleet entry point uses (one slot per admission).
 //! * **Live progress.** [`run_service_observed`] streams the whole
 //!   session — admissions, rejections, dispatches, and every campaign's
 //!   event stream — through [`LedgerObserver`] sinks such as
@@ -36,7 +37,8 @@
 //! * **Restart survival.** [`run_service_until`] kills the service after
 //!   N campaign commits and emits a [`ServiceCheckpoint`] (seed
 //!   handshake + committed reports and ledgers, exactly the
-//!   [`FleetLedgerCheckpoint`](crate::FleetLedgerCheckpoint) recipe);
+//!   [`FleetLedgerCheckpoint`](crate::FleetLedgerCheckpoint) recipe, and
+//!   checked by the same resume handshake);
 //!   [`resume_service`] re-derives only the lost work and reproduces the
 //!   uninterrupted [`ServiceReport`] *and* merged
 //!   [`FleetLedger`] **byte-for-byte**, at any thread count on either
@@ -73,7 +75,7 @@
 
 use crate::campaign::{run_campaign_recorded, CampaignConfig, CampaignReport};
 use crate::domain::MaterialsSpace;
-use crate::fleet::{execute_fleet_tasks_with, FleetReport};
+use crate::fleet::{worker_threads, CommitSlots, FleetReport, FleetResumeError};
 use crate::ledger::{CampaignEvent, CampaignLedger, FleetLedger, LedgerObserver};
 use evoflow_sim::RngRegistry;
 use serde::{Deserialize, Serialize};
@@ -254,14 +256,7 @@ impl ServiceConfig {
     /// artifact that is expected to be host-independent; pin an
     /// explicit thread count instead.
     pub fn effective_threads(&self) -> usize {
-        let n = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        n.max(1).min(self.submissions.len().max(1))
+        worker_threads(self.threads, self.submissions.len())
     }
 
     /// The ingest pacing the scheduler actually uses
@@ -701,12 +696,14 @@ fn percentile_wait(waits: &[usize], p: f64) -> usize {
     sorted[rank - 1]
 }
 
-fn assemble_report(
+/// Fold a fully committed session into its report and merged ledger.
+fn finish_session(
     cfg: &ServiceConfig,
     plan: &ServicePlan,
-    reports: Vec<CampaignReport>,
-) -> ServiceReport {
-    debug_assert_eq!(reports.len(), plan.admitted.len());
+    slots: CommitSlots,
+) -> (ServiceReport, FleetLedger) {
+    let (fleet, ledger) = slots.finish(cfg.master_seed);
+    debug_assert_eq!(fleet.reports.len(), plan.admitted.len());
     let waits: Vec<usize> = plan
         .admitted
         .iter()
@@ -727,7 +724,7 @@ fn assemble_report(
             let mut best = f64::NEG_INFINITY;
             let mut wait_sum = 0usize;
             let mut wait_max = 0usize;
-            for (a, r) in plan.admitted.iter().zip(&reports) {
+            for (a, r) in plan.admitted.iter().zip(&fleet.reports) {
                 if a.tenant != sched.name {
                     continue;
                 }
@@ -762,93 +759,47 @@ fn assemble_report(
             }
         })
         .collect();
-    ServiceReport {
+    let report = ServiceReport {
         master_seed: cfg.master_seed,
         tenants,
         rejected: plan.rejected.clone(),
         rounds: plan.rounds,
         p99_wait_rounds: percentile_wait(&waits, 0.99),
         mean_wait_rounds,
-        fleet: FleetReport::from_reports(cfg.master_seed, reports),
-    }
+        fleet,
+    };
+    (report, ledger)
 }
 
-/// Per-admission session results, in admission order: `None` until that
-/// campaign commits.
-struct Committed {
-    reports: Vec<Option<CampaignReport>>,
-    ledgers: Vec<Option<CampaignLedger>>,
-}
-
-impl Committed {
-    /// Nothing committed yet, for a session of `admitted` campaigns.
-    fn none(admitted: usize) -> Self {
-        Committed {
-            reports: (0..admitted).map(|_| None).collect(),
-            ledgers: (0..admitted).map(|_| None).collect(),
-        }
-    }
-
-    /// Fold a fully committed session into its report and merged ledger.
-    fn finish(self, cfg: &ServiceConfig, plan: &ServicePlan) -> (ServiceReport, FleetLedger) {
-        let reports: Vec<CampaignReport> = self
-            .reports
-            .into_iter()
-            .map(|r| r.expect("checkpointed or just run"))
-            .collect();
-        let campaigns: Vec<CampaignLedger> = self
-            .ledgers
-            .into_iter()
-            .map(|l| l.expect("checkpointed or just run"))
-            .collect();
-        (
-            assemble_report(cfg, plan, reports),
-            FleetLedger {
-                master_seed: cfg.master_seed,
-                campaigns,
-            },
-        )
-    }
-}
-
-/// The one session driver: run every admitted campaign whose slot in
-/// `committed` is still empty, in dispatch order, commit at most
-/// `commit_cap` of them, and stream each one to `observers` as it
-/// commits (see [`SessionStream`]).
+/// Run every admitted campaign whose slot in `slots` (indexed by
+/// admission) is still empty, in dispatch order, through the fleet's
+/// commit-slot driver; commit at most `commit_cap` of them, and stream
+/// each one to `observers` as it commits (see [`SessionStream`]).
 fn drive_session(
     space: &MaterialsSpace,
     cfg: &ServiceConfig,
     plan: &ServicePlan,
-    mut committed: Committed,
+    slots: &mut CommitSlots,
     commit_cap: Option<usize>,
     observers: &mut [&mut dyn LedgerObserver],
-) -> Committed {
+) {
     // The submitted config with the admission-derived seed spliced in.
-    let tasks: Vec<(usize, CampaignConfig)> = plan
-        .dispatch_order
-        .iter()
-        .filter(|&&ai| committed.reports[ai].is_none())
-        .map(|&ai| {
-            let a = &plan.admitted[ai];
-            let mut c = cfg.submissions[a.submission_index].campaign.clone();
-            c.seed = a.seed;
-            (ai, c)
-        })
-        .collect();
+    let tasks = plan.dispatch_order.iter().map(|&ai| {
+        let a = &plan.admitted[ai];
+        let mut c = cfg.submissions[a.submission_index].campaign.clone();
+        c.seed = a.seed;
+        (ai, c)
+    });
     let mut stream = SessionStream::new(plan, observers);
-    execute_fleet_tasks_with(
-        &tasks,
+    slots.drive(
+        tasks,
         cfg.effective_threads(),
         commit_cap,
+        false,
         |c| run_campaign_recorded(space, c),
-        |ai, (report, ledger)| {
-            stream.campaign(ai, &ledger);
-            committed.reports[ai] = Some(report);
-            committed.ledgers[ai] = Some(ledger);
-        },
+        |ai, (_, ledger)| stream.campaign(ai, ledger),
     );
     stream.finish();
-    committed
 }
 
 /// Run a full service session, streaming the whole schedule through the
@@ -872,15 +823,9 @@ pub fn run_service_observed(
     observers: &mut [&mut dyn LedgerObserver],
 ) -> Result<(ServiceReport, FleetLedger), ServiceError> {
     let plan = plan_service(cfg)?;
-    let committed = drive_session(
-        space,
-        cfg,
-        &plan,
-        Committed::none(plan.admitted.len()),
-        None,
-        observers,
-    );
-    Ok(committed.finish(cfg, &plan))
+    let mut slots = CommitSlots::new(plan.admitted.len(), true);
+    drive_session(space, cfg, &plan, &mut slots, None, observers);
+    Ok(finish_session(cfg, &plan, slots))
 }
 
 /// The live session stream: one forward cursor into each of the plan's
@@ -1042,55 +987,18 @@ impl ServiceCheckpoint {
 pub enum ServiceResumeError {
     /// The config itself no longer plans (see [`ServiceError`]).
     Plan(ServiceError),
-    /// Checkpoint admission count does not match the re-derived plan.
-    ShapeMismatch {
-        /// Admissions in the checkpoint.
-        checkpoint: usize,
-        /// Admissions the config plans.
-        service: usize,
-    },
-    /// A derived seed differs from the checkpoint's — the checkpoint
-    /// belongs to a different session (or the config drifted), so
-    /// splicing its reports would fabricate results.
-    SeedMismatch {
-        /// First admission whose seed disagrees.
-        index: usize,
-    },
-    /// A checkpoint slot has a committed report without its ledger (or
-    /// vice versa) — the checkpoint was assembled inconsistently.
-    LedgerMismatch {
-        /// First admission whose report/ledger presence disagrees.
-        index: usize,
-    },
-    /// Serialized checkpoint bytes were refused at the wire level
-    /// (checksum, truncation, or structural corruption) before any
-    /// resume handshake could run. See
-    /// [`resume_service_bytes`](crate::ledger::wire::resume_service_bytes).
-    Corrupt(crate::ledger::WireError),
+    /// The checkpoint failed the resume handshake every fleet and service
+    /// checkpoint shares (slot = admission index), or its serialized
+    /// bytes were refused at the wire level
+    /// ([`resume_service_bytes`](crate::ledger::wire::resume_service_bytes)).
+    Checkpoint(FleetResumeError),
 }
 
 impl std::fmt::Display for ServiceResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceResumeError::Plan(e) => write!(f, "config no longer plans: {e}"),
-            ServiceResumeError::ShapeMismatch {
-                checkpoint,
-                service,
-            } => write!(
-                f,
-                "checkpoint has {checkpoint} admissions, config plans {service}"
-            ),
-            ServiceResumeError::SeedMismatch { index } => write!(
-                f,
-                "admission {index}'s derived seed differs from the checkpoint — \
-                 checkpoint does not belong to this service config"
-            ),
-            ServiceResumeError::LedgerMismatch { index } => write!(
-                f,
-                "admission {index} has a committed report and ledger that \
-                 disagree on presence — the checkpoint is inconsistent"
-            ),
-            ServiceResumeError::Corrupt(e) => write!(f, "corrupt checkpoint bytes: {e}"),
+            ServiceResumeError::Checkpoint(e) => write!(f, "checkpoint refused: {e}"),
         }
     }
 }
@@ -1112,33 +1020,14 @@ pub fn run_service_until(
     max_commits: usize,
 ) -> Result<ServiceCheckpoint, ServiceError> {
     let plan = plan_service(cfg)?;
-    let Committed {
-        reports: completed,
-        ledgers,
-    } = drive_session(
-        space,
-        cfg,
-        &plan,
-        Committed::none(plan.admitted.len()),
-        Some(max_commits),
-        &mut [],
-    );
-    let committed = completed.iter().filter(|c| c.is_some()).count();
-    let events = vec![
-        CampaignEvent::CoordinatorKilled {
-            after_commits: committed,
-        },
-        CampaignEvent::CheckpointTaken {
-            committed,
-            total: completed.len(),
-        },
-    ];
+    let mut slots = CommitSlots::new(plan.admitted.len(), true);
+    drive_session(space, cfg, &plan, &mut slots, Some(max_commits), &mut []);
     Ok(ServiceCheckpoint {
         master_seed: cfg.master_seed,
         seeds: plan.admitted.iter().map(|a| a.seed).collect(),
-        completed,
-        ledgers,
-        events,
+        events: slots.kill_events(),
+        completed: slots.reports,
+        ledgers: slots.ledgers,
     })
 }
 
@@ -1156,39 +1045,16 @@ pub fn resume_service(
     checkpoint: &ServiceCheckpoint,
 ) -> Result<(ServiceReport, FleetLedger), ServiceResumeError> {
     let plan = plan_service(cfg).map_err(ServiceResumeError::Plan)?;
-    if checkpoint.seeds.len() != plan.admitted.len()
-        || checkpoint.completed.len() != plan.admitted.len()
-        || checkpoint.ledgers.len() != plan.admitted.len()
-    {
-        return Err(ServiceResumeError::ShapeMismatch {
-            checkpoint: checkpoint
-                .seeds
-                .len()
-                .max(checkpoint.completed.len())
-                .max(checkpoint.ledgers.len()),
-            service: plan.admitted.len(),
-        });
-    }
-    for (i, a) in plan.admitted.iter().enumerate() {
-        if a.seed != checkpoint.seeds[i] {
-            return Err(ServiceResumeError::SeedMismatch { index: i });
-        }
-    }
-    if let Some(index) = checkpoint
-        .ledgers
-        .iter()
-        .zip(&checkpoint.completed)
-        .position(|(l, r)| l.is_some() != r.is_some())
-    {
-        return Err(ServiceResumeError::LedgerMismatch { index });
-    }
-
-    let checkpointed = Committed {
-        reports: checkpoint.completed.clone(),
-        ledgers: checkpoint.ledgers.clone(),
-    };
-    let committed = drive_session(space, cfg, &plan, checkpointed, None, &mut []);
-    Ok(committed.finish(cfg, &plan))
+    let seeds: Vec<u64> = plan.admitted.iter().map(|a| a.seed).collect();
+    let mut slots = CommitSlots::resume(
+        &seeds,
+        &checkpoint.seeds,
+        &checkpoint.completed,
+        Some(&checkpoint.ledgers),
+    )
+    .map_err(ServiceResumeError::Checkpoint)?;
+    drive_session(space, cfg, &plan, &mut slots, None, &mut []);
+    Ok(finish_session(cfg, &plan, slots))
 }
 
 #[cfg(test)]
@@ -1410,14 +1276,14 @@ mod tests {
         other.master_seed = 999;
         assert_eq!(
             resume_service(&space, &other, &ckpt).unwrap_err(),
-            ServiceResumeError::SeedMismatch { index: 0 }
+            ServiceResumeError::Checkpoint(FleetResumeError::SeedMismatch { index: 0 })
         );
 
         let mut bigger = cfg.clone();
         bigger.submit("alice", campaign());
         assert!(matches!(
             resume_service(&space, &bigger, &ckpt).unwrap_err(),
-            ServiceResumeError::ShapeMismatch { .. }
+            ServiceResumeError::Checkpoint(FleetResumeError::ShapeMismatch { .. })
         ));
 
         let mut torn = ckpt.clone();
@@ -1425,7 +1291,7 @@ mod tests {
         torn.ledgers[committed] = None;
         assert_eq!(
             resume_service(&space, &cfg, &torn).unwrap_err(),
-            ServiceResumeError::LedgerMismatch { index: committed }
+            ServiceResumeError::Checkpoint(FleetResumeError::LedgerMismatch { index: committed })
         );
 
         let mut broken = cfg.clone();
@@ -1487,6 +1353,23 @@ mod tests {
         // Streaming never perturbs the session.
         let (unobserved, _) = run_service(&space, &cfg).unwrap();
         assert_eq!(unobserved, report);
+    }
+
+    #[test]
+    fn zero_lane_submission_runs_like_a_derived_one() {
+        // One tenant's `lanes: Some(0)` must not panic a worker and take
+        // every tenant's session down: 0 means "derive from composition".
+        let space = space();
+        let derived = two_tenant_config();
+        let expected = run_service(&space, &derived).unwrap();
+        let mut zero = derived.clone();
+        zero.submissions[0].campaign.lanes = Some(0);
+        for threads in [1usize, 2] {
+            zero.threads = threads;
+            let (report, ledger) = run_service(&space, &zero).unwrap();
+            assert_eq!(report, expected.0, "threads={threads}");
+            assert_eq!(ledger, expected.1, "threads={threads}");
+        }
     }
 
     #[test]

@@ -365,7 +365,7 @@ fn deeply_nested_json_is_refused_by_every_decoder() {
     let space = MaterialsSpace::generate(3, 8, 777);
     assert!(matches!(
         resume_service_bytes(&space, &ServiceConfig::new(1), bytes),
-        Err(ServiceResumeError::Corrupt(e)) if too_deep(&e)
+        Err(ServiceResumeError::Checkpoint(FleetResumeError::Corrupt(e))) if too_deep(&e)
     ));
     assert!(matches!(
         resume_campaign_fleet_recorded_bytes(&space, &FleetConfig::new(1), bytes),

@@ -12,7 +12,6 @@ use crate::scenario::{standard_ladder, AutonomyGrade, Rung};
 use evoflow_sim::SimRng;
 use evoflow_sm::control::CtrlState;
 use evoflow_sm::{controller_for_level, run_episode, IntelligenceLevel, Machine, Transition};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A factory producing fresh, seeded candidate controllers. Each
@@ -63,7 +62,6 @@ impl AutonomyCertificate {
 /// Run one rung for one candidate.
 fn run_rung(factory: &CandidateFactory<'_>, rung: &Rung, master_seed: u64) -> RungResult {
     let outcomes: Vec<_> = (0..rung.replications)
-        .into_par_iter()
         .map(|rep| {
             // Controller seed and environment seed are independent
             // streams so candidates cannot overfit the disturbance draw.

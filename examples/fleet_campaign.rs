@@ -9,8 +9,9 @@
 //! cargo run --release --example fleet_campaign
 //! ```
 
-use evoflow::core::{run_campaign_fleet_timed, Cell, FleetConfig, MaterialsSpace};
+use evoflow::core::{run_campaign_fleet, Cell, FleetConfig, FleetReport, MaterialsSpace};
 use evoflow::sim::SimDuration;
+use std::time::{Duration, Instant};
 
 fn build_fleet(threads: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(2026);
@@ -39,29 +40,38 @@ fn build_fleet(threads: usize) -> FleetConfig {
     cfg
 }
 
+/// Run the fleet and time it: timing stays outside the report, so the
+/// report stays byte-identical across thread counts.
+fn timed_fleet(space: &MaterialsSpace, cfg: &FleetConfig) -> (FleetReport, Duration) {
+    let started = Instant::now();
+    let report = run_campaign_fleet(space, cfg);
+    (report, started.elapsed())
+}
+
 fn main() {
     let space = MaterialsSpace::generate(4, 10, 31337);
 
     println!("== fleet: 12 campaigns across the evolution matrix ==\n");
 
-    let (serial, serial_t) = run_campaign_fleet_timed(&space, &build_fleet(1));
+    let (serial, serial_t) = timed_fleet(&space, &build_fleet(1));
     println!(
         "serial    : {} campaigns, {} experiments in {:.2?}",
         serial.reports.len(),
         serial.total_experiments,
-        serial_t.wall_clock
+        serial_t
     );
 
-    let (parallel, parallel_t) = run_campaign_fleet_timed(&space, &build_fleet(0));
+    let parallel_cfg = build_fleet(0);
+    let (parallel, parallel_t) = timed_fleet(&space, &parallel_cfg);
     println!(
         "parallel  : {} campaigns, {} experiments in {:.2?} ({} threads)",
         parallel.reports.len(),
         parallel.total_experiments,
-        parallel_t.wall_clock,
-        parallel_t.threads
+        parallel_t,
+        parallel_cfg.effective_threads()
     );
 
-    let speedup = serial_t.wall_clock.as_secs_f64() / parallel_t.wall_clock.as_secs_f64().max(1e-9);
+    let speedup = serial_t.as_secs_f64() / parallel_t.as_secs_f64().max(1e-9);
     println!("speedup   : {speedup:.2}×");
 
     assert_eq!(serial, parallel, "fleet results are thread-count invariant");

@@ -2,9 +2,7 @@
 //! the serialized bytes), heterogeneous-cell load handling, and agreement
 //! between fleet aggregates and the underlying campaign engine.
 
-use evoflow::core::{
-    run_campaign, run_campaign_fleet, run_campaign_fleet_timed, Cell, FleetConfig, MaterialsSpace,
-};
+use evoflow::core::{run_campaign, run_campaign_fleet, Cell, FleetConfig, MaterialsSpace};
 use evoflow::sim::SimDuration;
 
 fn heterogeneous_fleet(master_seed: u64, threads: usize) -> FleetConfig {
@@ -85,13 +83,4 @@ fn fleet_matches_single_campaign_engine() {
         serde_json::to_string(&solo).unwrap()
     );
     assert_eq!(fleet.total_experiments, solo.experiments);
-}
-
-#[test]
-fn timed_variant_reports_threads_and_elapsed() {
-    let space = MaterialsSpace::generate(3, 8, 4242);
-    let (report, timing) = run_campaign_fleet_timed(&space, &heterogeneous_fleet(7, 2));
-    assert_eq!(timing.threads, 2);
-    assert!(timing.wall_clock.as_nanos() > 0);
-    assert!(report.total_experiments > 0);
 }
