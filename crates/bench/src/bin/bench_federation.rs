@@ -12,12 +12,12 @@
 //! 2. **Queue-awareness pays** — the least-wait policy's makespan must
 //!    not exceed round-robin's on the contended reference federation.
 //!
-//! Artifacts: every report is written to `FEDERATION_DETERMINISM_DIR`
-//! (when set) for CI's byte-diff, and a machine-readable
-//! `BENCH_federation.json` summary lands in `results/` (or
-//! `BENCH_SUMMARY_DIR`).
+//! Artifacts: a machine-readable `BENCH_federation.json` summary (every
+//! gate under `gates`) lands in `results/`; with `BENCH_SUMMARY_DIR` set,
+//! it lands there instead, next to every emitted report, for CI's
+//! byte-diff.
 
-use evoflow_bench::{fmt, print_table, write_bench_summary};
+use evoflow_bench::{fmt, print_table, write_artifact, write_bench_summary, Gates};
 use evoflow_core::{
     resume_campaign_fleet_federated, run_campaign_fleet_federated,
     run_campaign_fleet_federated_until, Cell, FederatedConfig, FederatedReport, FleetConfig,
@@ -27,7 +27,7 @@ use evoflow_facility::FacilityKind;
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::process::ExitCode;
 
 const SEED: u64 = 20260726;
 const OUTAGE_SEED: u64 = 1;
@@ -57,13 +57,6 @@ fn report_bytes(report: &FederatedReport) -> String {
     serde_json::to_string(report).expect("report serializes")
 }
 
-fn emit_artifact(dir: &Option<PathBuf>, name: &str, bytes: &str) {
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir).expect("create determinism dir");
-        std::fs::write(dir.join(name), bytes).expect("write determinism artifact");
-    }
-}
-
 #[derive(Serialize)]
 struct Row {
     policy: String,
@@ -74,42 +67,40 @@ struct Row {
     rerouted: usize,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let space = MaterialsSpace::generate(3, 8, 555);
-    let artifact_dir = std::env::var_os("FEDERATION_DETERMINISM_DIR").map(PathBuf::from);
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
+    let mut gates = Gates::new();
     let mut makespans: Vec<(PlacementPolicyKind, f64)> = Vec::new();
 
     for policy in PlacementPolicyKind::all() {
         let cfg = federation_config(policy);
         let baseline = run_campaign_fleet_federated(&space, &cfg).expect("capacity exists");
         let baseline_bytes = report_bytes(&baseline);
-        emit_artifact(
-            &artifact_dir,
-            &format!("report_{}.json", policy.label()),
-            &baseline_bytes,
-        );
+        write_artifact(&format!("report_{}.json", policy.label()), &baseline_bytes);
 
         // Gate 1a: byte-identical rerun.
         let rerun = run_campaign_fleet_federated(&space, &cfg).expect("capacity exists");
-        if report_bytes(&rerun) != baseline_bytes {
-            failures.push(format!("{}: rerun diverged", policy.label()));
-        }
+        gates.check(
+            format!("{}: rerun report byte-identical", policy.label()),
+            report_bytes(&rerun) == baseline_bytes,
+        );
 
         // Gate 1b: byte-identical at 2 and 4 worker threads.
-        for threads in [2usize, 4] {
+        let threads_identical = [2usize, 4].into_iter().all(|threads| {
             let mut c = cfg.clone();
             c.fleet.threads = threads;
             let r = run_campaign_fleet_federated(&space, &c).expect("capacity exists");
-            if report_bytes(&r) != baseline_bytes {
-                failures.push(format!(
-                    "{}: {threads}-thread report diverged from serial",
-                    policy.label()
-                ));
-            }
-        }
+            report_bytes(&r) == baseline_bytes
+        });
+        gates.check(
+            format!(
+                "{}: 2- and 4-thread reports byte-identical to serial",
+                policy.label()
+            ),
+            threads_identical,
+        );
 
         // Gate 1c: outage + kill + resume reproduces the uninterrupted
         // outage run byte-for-byte.
@@ -117,8 +108,7 @@ fn main() {
         let uninterrupted =
             run_campaign_fleet_federated(&space, &chaotic).expect("capacity exists");
         let uninterrupted_bytes = report_bytes(&uninterrupted);
-        emit_artifact(
-            &artifact_dir,
+        write_artifact(
             &format!("report_{}_outage.json", policy.label()),
             &uninterrupted_bytes,
         );
@@ -126,9 +116,13 @@ fn main() {
             .expect("capacity exists");
         let resumed =
             resume_campaign_fleet_federated(&space, &chaotic, &ckpt).expect("checkpoint matches");
-        if report_bytes(&resumed) != uninterrupted_bytes {
-            failures.push(format!("{}: outage resume diverged", policy.label()));
-        }
+        gates.check(
+            format!(
+                "{}: outage kill@{KILL_AFTER} + resume byte-identical",
+                policy.label()
+            ),
+            report_bytes(&resumed) == uninterrupted_bytes,
+        );
 
         makespans.push((policy, baseline.makespan_hours));
         rows.push(Row {
@@ -173,9 +167,11 @@ fn main() {
 
     // The outage arm must have teeth: at least one policy's run must
     // actually re-route queued work, or the resume gate is vacuous.
-    if rows.iter().all(|r| r.rerouted == 0) {
-        failures.push("outage re-routed nothing under any policy".to_string());
-    }
+    println!();
+    gates.check(
+        "the outage re-routes queued work under at least one policy",
+        rows.iter().any(|r| r.rerouted > 0),
+    );
 
     // Gate 2: queue-awareness must not lose to blind rotation.
     let makespan_of = |kind: PlacementPolicyKind| -> f64 {
@@ -187,25 +183,12 @@ fn main() {
     };
     let rr = makespan_of(PlacementPolicyKind::RoundRobin);
     let lw = makespan_of(PlacementPolicyKind::LeastWait);
-    let lw_wins = lw <= rr;
-    if !lw_wins {
-        failures.push(format!(
-            "least-wait makespan {lw:.2}h exceeds round-robin {rr:.2}h"
-        ));
-    }
     println!(
-        "\n  [{}] least-wait makespan {}h vs round-robin {}h",
-        if lw_wins { "PASS" } else { "FAIL" },
+        "  least-wait makespan {}h vs round-robin {}h",
         fmt(lw),
         fmt(rr)
     );
-    println!(
-        "  [{}] determinism: rerun, 1/2/4 threads, outage kill+resume",
-        if failures.is_empty() { "PASS" } else { "FAIL" }
-    );
-    for f in &failures {
-        println!("    FAIL: {f}");
-    }
+    gates.check("least-wait makespan ≤ round-robin makespan", lw <= rr);
 
     // Deterministic summary only (no wall-clock): CI byte-diffs it.
     #[derive(Serialize)]
@@ -214,26 +197,15 @@ fn main() {
         outage_seed: u64,
         kill_after: usize,
         rows: Vec<Row>,
-        least_wait_beats_round_robin: bool,
-        determinism_failures: Vec<String>,
-        pass: bool,
+        gates: Gates,
     }
     let out = Out {
         seed: SEED,
         outage_seed: OUTAGE_SEED,
         kill_after: KILL_AFTER,
-        least_wait_beats_round_robin: lw_wins,
-        pass: failures.is_empty(),
-        determinism_failures: failures.clone(),
         rows,
+        gates,
     };
-    // CI points BENCH_SUMMARY_DIR at the determinism directory, so the
-    // summary participates in the byte-diff with no second writer.
     write_bench_summary("federation", &out);
-
-    if !out.pass {
-        // Non-zero exit so CI fails on any determinism or policy-gate
-        // regression.
-        std::process::exit(1);
-    }
+    out.gates.exit_code()
 }

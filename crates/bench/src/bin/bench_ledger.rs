@@ -1,6 +1,7 @@
 //! **Ledger-replay smoke — is the event stream a faithful audit record?**
 //!
-//! Gates (ISSUE 5 + ISSUE 7), each fatal on regression:
+//! Gates, each recorded under `gates` in `BENCH_ledger.json` and fatal
+//! to the exit code on regression:
 //!
 //! 1. **Per-planner replay** — for every planner kind, a recorded
 //!    campaign's serialized ledger is byte-identical on rerun, and
@@ -16,32 +17,32 @@
 //! 4. **Streaming replay throughput** — binary replay sustains a floor
 //!    events/second rate (raw numbers are printed, never serialized, so
 //!    the summary stays byte-diffable).
-//! 5. **Fleet merge invariance** — the merged `FleetLedger` is
-//!    byte-identical at 1, 2, and 4 worker threads; `replay_fleet_ledger`
-//!    and the streaming `replay_fleet_ledger_bytes` both rebuild the live
-//!    `FleetReport`.
-//! 6. **Crash accountability** — killing the coordinator at the seeded
-//!    death point and resuming reproduces both the report and the merged
-//!    ledger byte-for-byte (the testbed's A3 rung).
+//! 5. **Fleet audit certificate** — the testbed's accountability ladder
+//!    ([`certify_audit`]) must grade a 9-campaign fleet A4 (wire-durable):
+//!    rerun bytes, replay at 1/2/4 threads, kill at the seeded death
+//!    point + resume with no seam in report or ledger, and a lossless,
+//!    stream-replayable, tamper-refusing `EVWL` encoding. The
+//!    certificate is the summary's `fleet` section.
 //!
-//! Artifacts: every serialized ledger/report — including the `.evwl`
-//! binary forms — is written to `LEDGER_DETERMINISM_DIR` when set, so the
-//! CI job can byte-diff two independent process runs (catching
-//! nondeterminism that hides inside a single process).
+//! Artifacts: with `BENCH_SUMMARY_DIR` set, every serialized
+//! ledger/report — including the `.evwl` binary forms — is written next
+//! to the summary, so CI can byte-diff two independent process runs
+//! (catching nondeterminism that hides inside a single process).
 
-use evoflow_bench::{print_table, write_bench_summary};
+use evoflow_bench::{print_table, write_artifact, write_bench_summary, Gates};
 use evoflow_core::{
-    fleet_death_point, replay_fleet_ledger, replay_fleet_ledger_bytes, replay_ledger,
-    replay_ledger_bytes, resume_campaign_fleet_recorded, run_campaign_fleet_recorded,
-    run_campaign_fleet_recorded_until, run_campaign_recorded, CampaignConfig, Cell, FleetConfig,
-    LedgerEncoding, MaterialsSpace, PlannerKind, WireEncodeStats,
+    fleet_death_point, replay_ledger, replay_ledger_bytes, run_campaign_fleet_recorded,
+    run_campaign_recorded, CampaignConfig, Cell, FleetConfig, LedgerEncoding, MaterialsSpace,
+    PlannerKind, WireEncodeStats,
 };
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
+use evoflow_testbed::{certify_audit, AuditCertificate, AuditGrade};
 use serde::Serialize;
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
+/// Seeds the audit fleet's coordinator death point.
 const CHAOS_SEED: u64 = 404;
 /// Compression gate: binary must be at least this many times smaller.
 const SIZE_RATIO_FLOOR: f64 = 5.0;
@@ -51,13 +52,6 @@ const SIZE_RATIO_FLOOR: f64 = 5.0;
 const REPLAY_EVENTS_PER_SEC_FLOOR: f64 = 10_000.0;
 /// Tamper battery samples roughly this many offsets per ledger.
 const TAMPER_SAMPLES: usize = 512;
-
-fn emit_artifact(dir: &Option<PathBuf>, name: &str, bytes: &[u8]) {
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir).expect("create determinism dir");
-        std::fs::write(dir.join(name), bytes).expect("write determinism artifact");
-    }
-}
 
 #[derive(Serialize)]
 struct PlannerRow {
@@ -88,11 +82,7 @@ struct PlannerBattery {
     reuse_identical: bool,
 }
 
-fn planner_battery(
-    space: &MaterialsSpace,
-    artifact_dir: &Option<PathBuf>,
-    failures: &mut Vec<String>,
-) -> PlannerBattery {
+fn planner_battery(space: &MaterialsSpace) -> PlannerBattery {
     let mut kinds = PlannerKind::all_concrete();
     kinds.push(PlannerKind::meta());
     let mut rows = Vec::new();
@@ -118,30 +108,17 @@ fn planner_battery(
         let ledger_bytes = serde_json::to_string(&ledger).expect("ledger serializes");
         let bin = ledger.to_bytes(LedgerEncoding::Binary);
         let stats = ledger.encode_binary_into(&mut reuse_buf);
-        if reuse_buf != bin {
-            reuse_identical = false;
-            failures.push(format!(
-                "{}: reused-buffer encode diverged from to_bytes",
-                kind.label()
-            ));
-        }
+        reuse_identical &= reuse_buf == bin;
         encode_stats.events += stats.events;
         encode_stats.segments += stats.segments;
         encode_stats.intern_hits += stats.intern_hits;
         encode_stats.intern_misses += stats.intern_misses;
-        emit_artifact(
-            artifact_dir,
-            &format!("ledger_{}.json", kind.label()),
-            ledger_bytes.as_bytes(),
-        );
-        emit_artifact(artifact_dir, &format!("ledger_{}.evwl", kind.label()), &bin);
+        write_artifact(&format!("ledger_{}.json", kind.label()), &ledger_bytes);
+        write_artifact(&format!("ledger_{}.evwl", kind.label()), &bin);
 
         let (_, rerun) = run_campaign_recorded(space, &cfg);
         let rerun_identical =
             serde_json::to_string(&rerun).expect("ledger serializes") == ledger_bytes;
-        if !rerun_identical {
-            failures.push(format!("{}: ledger rerun diverged", kind.label()));
-        }
 
         let live_report = serde_json::to_string(&live).expect("report serializes");
         let (replay_identical, prov_match) = match replay_ledger(&ledger) {
@@ -151,31 +128,19 @@ fn planner_battery(
                     && outcome.knowledge.node_count() == live.kg_nodes,
             ),
             Err(e) => {
-                failures.push(format!("{}: replay refused: {e}", kind.label()));
+                println!("  {}: replay refused: {e}", kind.label());
                 (false, false)
             }
         };
-        if !replay_identical {
-            failures.push(format!("{}: replayed report diverged", kind.label()));
-        }
-        if !prov_match {
-            failures.push(format!("{}: provenance counts diverged", kind.label()));
-        }
 
         // The binary form must stream-replay to the same report and decode
         // back to the exact legacy JSON bytes (lossless round-trip).
         let bin_replay_identical = replay_ledger_bytes(&bin)
             .map(|o| serde_json::to_string(&o.report).expect("serialize") == live_report)
             .unwrap_or(false);
-        if !bin_replay_identical {
-            failures.push(format!("{}: binary stream replay diverged", kind.label()));
-        }
         let bin_round_trip = evoflow_core::CampaignLedger::from_bytes(&bin)
             .map(|l| serde_json::to_string(&l).expect("serialize") == ledger_bytes)
             .unwrap_or(false);
-        if !bin_round_trip {
-            failures.push(format!("{}: binary decode lost information", kind.label()));
-        }
 
         json_total += ledger_bytes.len();
         bin_total += bin.len();
@@ -205,36 +170,24 @@ fn planner_battery(
 }
 
 #[derive(Serialize)]
-struct WireGates {
+struct Wire {
     json_bytes_total: usize,
     bin_bytes_total: usize,
     size_ratio: f64,
     size_ratio_floor: f64,
-    size_gate: bool,
     bit_flips_tested: usize,
-    bit_flips_all_refused: bool,
     truncations_tested: usize,
-    truncations_all_refused: bool,
-    replay_throughput_ok: bool,
     /// Deterministic encode counters summed across every planner ledger:
     /// the allocation-proxy view of the buffer-reuse fast path. A string
     /// field that hits the intern table costs one varint instead of one
     /// heap string.
     encode: WireEncodeStats,
-    /// Reused-buffer encodes were byte-identical to fresh `to_bytes`.
-    buffer_reuse_identical: bool,
 }
 
 /// Compression + tamper + throughput gates over the meta-planner's binary
 /// ledger (wall-clock numbers are printed here, never serialized).
-fn wire_battery(battery: &PlannerBattery, failures: &mut Vec<String>) -> WireGates {
+fn wire_battery(battery: &PlannerBattery, gates: &mut Gates) -> Wire {
     let size_ratio = battery.json_total as f64 / battery.bin_total.max(1) as f64;
-    let size_gate = size_ratio >= SIZE_RATIO_FLOOR;
-    if !size_gate {
-        failures.push(format!(
-            "wire: binary only {size_ratio:.2}x smaller than JSON (floor {SIZE_RATIO_FLOOR}x)"
-        ));
-    }
 
     // Single-bit flips at sampled offsets: every one must be refused.
     let bin = &battery.sample_bin;
@@ -247,7 +200,7 @@ fn wire_battery(battery: &PlannerBattery, failures: &mut Vec<String>) -> WireGat
         flips += 1;
         if replay_ledger_bytes(&tampered).is_ok() {
             flips_refused = false;
-            failures.push(format!("wire: bit flip at byte {offset} replayed cleanly"));
+            println!("  wire: bit flip at byte {offset} replayed cleanly");
         }
     }
 
@@ -259,12 +212,12 @@ fn wire_battery(battery: &PlannerBattery, failures: &mut Vec<String>) -> WireGat
         cuts += 1;
         if replay_ledger_bytes(&bin[..cut]).is_ok() {
             cuts_refused = false;
-            failures.push(format!("wire: truncation to {cut} bytes replayed cleanly"));
+            println!("  wire: truncation to {cut} bytes replayed cleanly");
         }
     }
 
     // Streaming replay throughput: best of a few repeats, gated against a
-    // floor far below the decoder's real rate so the boolean never flaps.
+    // floor far below the decoder's real rate so the verdict never flaps.
     let mut best_events_per_sec = 0f64;
     for _ in 0..5 {
         let t0 = Instant::now();
@@ -272,65 +225,47 @@ fn wire_battery(battery: &PlannerBattery, failures: &mut Vec<String>) -> WireGat
         let secs = t0.elapsed().as_secs_f64().max(1e-9);
         best_events_per_sec = best_events_per_sec.max(battery.sample_events as f64 / secs);
     }
-    let replay_throughput_ok = best_events_per_sec >= REPLAY_EVENTS_PER_SEC_FLOOR;
-    if !replay_throughput_ok {
-        failures.push(format!(
-            "wire: streaming replay at {best_events_per_sec:.0} events/s \
-             (floor {REPLAY_EVENTS_PER_SEC_FLOOR})"
-        ));
-    }
     println!(
         "\n  wire: {} -> {} bytes ({size_ratio:.2}x), {flips} bit flips + {cuts} truncations \
-         refused, streaming replay {best_events_per_sec:.0} events/s",
+         tried, streaming replay {best_events_per_sec:.0} events/s",
         battery.json_total, battery.bin_total,
     );
     println!(
-        "  encode: {} events in {} segments, intern {} hits / {} misses, reuse {}",
+        "  encode: {} events in {} segments, intern {} hits / {} misses",
         battery.encode_stats.events,
         battery.encode_stats.segments,
         battery.encode_stats.intern_hits,
         battery.encode_stats.intern_misses,
-        if battery.reuse_identical {
-            "ok"
-        } else {
-            "FAIL"
-        },
+    );
+    gates.check(
+        format!("EVWL ledgers ≥ {SIZE_RATIO_FLOOR}x smaller than JSON in total"),
+        size_ratio >= SIZE_RATIO_FLOOR,
+    );
+    gates.check("every sampled bit flip refused", flips_refused);
+    gates.check("every sampled truncation refused", cuts_refused);
+    gates.check(
+        format!("streaming replay ≥ {REPLAY_EVENTS_PER_SEC_FLOOR} events/s"),
+        best_events_per_sec >= REPLAY_EVENTS_PER_SEC_FLOOR,
+    );
+    gates.check(
+        "reused-buffer encode byte-identical to to_bytes",
+        battery.reuse_identical,
     );
 
-    WireGates {
+    Wire {
         json_bytes_total: battery.json_total,
         bin_bytes_total: battery.bin_total,
         size_ratio,
         size_ratio_floor: SIZE_RATIO_FLOOR,
-        size_gate,
         bit_flips_tested: flips,
-        bit_flips_all_refused: flips_refused,
         truncations_tested: cuts,
-        truncations_all_refused: cuts_refused,
-        replay_throughput_ok,
         encode: battery.encode_stats,
-        buffer_reuse_identical: battery.reuse_identical,
     }
 }
 
-#[derive(Serialize)]
-struct FleetGates {
-    campaigns: usize,
-    kill_after: usize,
-    total_events: usize,
-    fleet_json_bytes: usize,
-    fleet_bin_bytes: usize,
-    thread_invariant: bool,
-    replay_identical: bool,
-    bin_replay_identical: bool,
-    resume_identical: bool,
-}
-
-fn fleet_battery(
-    space: &MaterialsSpace,
-    artifact_dir: &Option<PathBuf>,
-    failures: &mut Vec<String>,
-) -> FleetGates {
+/// Certify a mixed 9-campaign fleet up the testbed's accountability
+/// ladder, killing its coordinator at the seeded death point.
+fn fleet_battery(space: &MaterialsSpace, gates: &mut Gates) -> AuditCertificate {
     let mut cfg = FleetConfig::new(1234);
     cfg.horizon = SimDuration::from_days(2);
     cfg.threads = 1;
@@ -342,76 +277,35 @@ fn fleet_battery(
     );
 
     let (report, ledger) = run_campaign_fleet_recorded(space, &cfg);
-    let report_bytes = serde_json::to_string(&report).expect("report serializes");
-    let ledger_bytes = serde_json::to_string(&ledger).expect("ledger serializes");
-    let fleet_bin = ledger.to_bytes(LedgerEncoding::Binary);
-    emit_artifact(artifact_dir, "fleet_report.json", report_bytes.as_bytes());
-    emit_artifact(artifact_dir, "fleet_ledger.json", ledger_bytes.as_bytes());
-    emit_artifact(artifact_dir, "fleet_ledger.evwl", &fleet_bin);
-
-    let mut thread_invariant = true;
-    for threads in [2usize, 4] {
-        let mut c = cfg.clone();
-        c.threads = threads;
-        let (r, l) = run_campaign_fleet_recorded(space, &c);
-        if serde_json::to_string(&r).expect("serialize") != report_bytes
-            || serde_json::to_string(&l).expect("serialize") != ledger_bytes
-        {
-            thread_invariant = false;
-            failures.push(format!(
-                "fleet: {threads}-thread ledger diverged from serial"
-            ));
-        }
-    }
-
-    let replay_identical = replay_fleet_ledger(&ledger)
-        .map(|r| serde_json::to_string(&r).expect("serialize") == report_bytes)
-        .unwrap_or(false);
-    if !replay_identical {
-        failures.push("fleet: replayed report diverged".to_string());
-    }
-
-    // The binary fleet ledger must stream-replay (shard by shard, bounded
-    // memory) to the same report the live run produced.
-    let bin_replay_identical = replay_fleet_ledger_bytes(&fleet_bin)
-        .map(|r| serde_json::to_string(&r).expect("serialize") == report_bytes)
-        .unwrap_or(false);
-    if !bin_replay_identical {
-        failures.push("fleet: binary stream replay diverged".to_string());
-    }
+    write_artifact(
+        "fleet_report.json",
+        serde_json::to_string(&report).expect("report serializes"),
+    );
+    write_artifact(
+        "fleet_ledger.json",
+        serde_json::to_string(&ledger).expect("ledger serializes"),
+    );
+    write_artifact("fleet_ledger.evwl", ledger.to_bytes(LedgerEncoding::Binary));
 
     let kill_after = fleet_death_point(CHAOS_SEED, cfg.campaigns.len());
-    let ckpt = run_campaign_fleet_recorded_until(space, &cfg, kill_after);
-    let resume_identical = resume_campaign_fleet_recorded(space, &cfg, &ckpt)
-        .map(|(r, l)| {
-            serde_json::to_string(&r).expect("serialize") == report_bytes
-                && serde_json::to_string(&l).expect("serialize") == ledger_bytes
-        })
-        .unwrap_or(false);
-    if !resume_identical {
-        failures.push(format!("fleet: kill@{kill_after} + resume left a seam"));
-    }
-
-    FleetGates {
-        campaigns: cfg.campaigns.len(),
-        kill_after,
-        total_events: ledger.total_events(),
-        fleet_json_bytes: ledger_bytes.len(),
-        fleet_bin_bytes: fleet_bin.len(),
-        thread_invariant,
-        replay_identical,
-        bin_replay_identical,
-        resume_identical,
-    }
+    let cert = certify_audit(space, &cfg, kill_after);
+    println!(
+        "\n  fleet: {} campaigns, {} events ({} json / {} evwl bytes), kill@{kill_after}: {}",
+        cert.campaigns, cert.total_events, cert.json_bytes, cert.wire_bytes, cert.grade,
+    );
+    gates.check(
+        "fleet audit certificate grades A4 (wire-durable)",
+        cert.grade == AuditGrade::A4WireDurable,
+    );
+    cert
 }
 
-fn main() {
+fn main() -> ExitCode {
     println!("ledger-replay smoke: event streams as the audit substrate");
     let space = MaterialsSpace::generate(3, 8, 555);
-    let artifact_dir = std::env::var_os("LEDGER_DETERMINISM_DIR").map(PathBuf::from);
-    let mut failures: Vec<String> = Vec::new();
+    let mut gates = Gates::new();
 
-    let battery = planner_battery(&space, &artifact_dir, &mut failures);
+    let battery = planner_battery(&space);
     print_table(
         "Per-planner recorded campaign: rerun bytes + replay audit",
         &[
@@ -436,52 +330,45 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-
-    let wire = wire_battery(&battery, &mut failures);
-    let fleet = fleet_battery(&space, &artifact_dir, &mut failures);
-    println!(
-        "\n  fleet: {} campaigns, {} events ({} json / {} evwl bytes), kill@{} — \
-         thread-invariant {}, replay {}, stream {}, resume {}",
-        fleet.campaigns,
-        fleet.total_events,
-        fleet.fleet_json_bytes,
-        fleet.fleet_bin_bytes,
-        fleet.kill_after,
-        fleet.thread_invariant,
-        fleet.replay_identical,
-        fleet.bin_replay_identical,
-        fleet.resume_identical,
+    let every = |ok: fn(&PlannerRow) -> bool| battery.rows.iter().all(ok);
+    println!();
+    gates.check(
+        "every planner ledger byte-identical on rerun",
+        every(|r| r.rerun_identical),
+    );
+    gates.check(
+        "every planner replay rebuilds the live report",
+        every(|r| r.replay_identical),
+    );
+    gates.check(
+        "every planner replay rebuilds the live provenance and knowledge counts",
+        every(|r| r.prov_match),
+    );
+    gates.check(
+        "every planner EVWL ledger stream-replays to the live report",
+        every(|r| r.bin_replay_identical),
+    );
+    gates.check(
+        "every planner EVWL ledger decodes to the identical JSON",
+        every(|r| r.bin_round_trip),
     );
 
-    let pass = failures.is_empty();
-    println!(
-        "\n  [{}] {}",
-        if pass { "PASS" } else { "FAIL" },
-        if pass {
-            "every ledger replayed byte-identically; binary gates held".to_string()
-        } else {
-            failures.join("; ")
-        }
-    );
+    let wire = wire_battery(&battery, &mut gates);
+    let fleet = fleet_battery(&space, &mut gates);
 
     #[derive(Serialize)]
     struct Out {
         planners: Vec<PlannerRow>,
-        wire: WireGates,
-        fleet: FleetGates,
-        failures: Vec<String>,
-        pass: bool,
+        wire: Wire,
+        fleet: AuditCertificate,
+        gates: Gates,
     }
     let out = Out {
         planners: battery.rows,
         wire,
         fleet,
-        failures,
-        pass,
+        gates,
     };
     write_bench_summary("ledger", &out);
-
-    if !pass {
-        std::process::exit(1);
-    }
+    out.gates.exit_code()
 }

@@ -19,7 +19,7 @@
 //!    cover more of the landscape than any one policy alone.
 
 use evoflow_agents::Pattern;
-use evoflow_bench::{print_table, write_bench_summary};
+use evoflow_bench::{print_table, write_bench_summary, Gates};
 use evoflow_core::{
     run_campaign, CampaignConfig, CampaignReport, Cell, CoordinationMode, MaterialsSpace,
     PlannerKind,
@@ -27,6 +27,7 @@ use evoflow_core::{
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
+use std::process::ExitCode;
 
 const SEED: u64 = 4242;
 
@@ -70,22 +71,11 @@ struct Row {
     best_score: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let space = MaterialsSpace::generate(3, 8, 555);
 
     let first = run_arena(&space);
     let rerun = run_arena(&space);
-
-    // Gate 1: byte-identical reruns, planner by planner.
-    for ((label, a), (_, b)) in first.iter().zip(&rerun) {
-        let ja = serde_json::to_string(a).expect("report serializes");
-        let jb = serde_json::to_string(b).expect("report serializes");
-        assert_eq!(ja, jb, "planner {label} diverged between identical runs");
-    }
-    println!(
-        "determinism: all {} planners byte-identical on rerun",
-        first.len()
-    );
 
     let rows: Vec<Row> = first
         .iter()
@@ -124,6 +114,17 @@ fn main() {
         &table,
     );
 
+    // Gate 1: byte-identical reruns, planner by planner.
+    println!();
+    let mut gates = Gates::new();
+    gates.check(
+        format!("all {} planners byte-identical on rerun", first.len()),
+        first.iter().zip(&rerun).all(|((_, a), (_, b))| {
+            serde_json::to_string(a).expect("report serializes")
+                == serde_json::to_string(b).expect("report serializes")
+        }),
+    );
+
     // Gate 2: surrogate and a bandit beat the Static grid on
     // time-to-first-hit.
     let ttf = |label: &str| -> f64 {
@@ -135,16 +136,9 @@ fn main() {
     let grid = ttf("grid");
     let surrogate = ttf("surrogate");
     let bandit = ttf("bandit-ucb1").min(ttf("bandit-thompson"));
-    let surrogate_wins = surrogate < grid;
-    let bandit_wins = bandit < grid;
-    println!(
-        "\n  [{}] surrogate first hit {surrogate:.1}h vs grid {grid:.1}h",
-        if surrogate_wins { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "  [{}] best bandit first hit {bandit:.1}h vs grid {grid:.1}h",
-        if bandit_wins { "PASS" } else { "FAIL" }
-    );
+    println!("  first hit: surrogate {surrogate:.1}h, best bandit {bandit:.1}h, grid {grid:.1}h");
+    gates.check("surrogate first hit sooner than grid", surrogate < grid);
+    gates.check("best bandit first hit sooner than grid", bandit < grid);
 
     // Gate 3: the cooperative ensemble beats the best single planner on
     // distinct discoveries at the same experiment budget.
@@ -159,11 +153,13 @@ fn main() {
         .map(|r| (r.planner.clone(), r.distinct_discoveries))
         .max_by_key(|&(_, d)| d)
         .unwrap_or(("—".into(), 0));
-    let ensemble_wins = ensemble_distinct > best_single_distinct;
     println!(
-        "  [{}] ensemble {ensemble_distinct} distinct discoveries vs best single \
-         ({best_single}) {best_single_distinct}",
-        if ensemble_wins { "PASS" } else { "FAIL" }
+        "  distinct discoveries: ensemble {ensemble_distinct}, best single \
+         ({best_single}) {best_single_distinct}"
+    );
+    gates.check(
+        "ensemble finds more distinct discoveries than the best single planner",
+        ensemble_distinct > best_single_distinct,
     );
 
     #[derive(Serialize)]
@@ -171,30 +167,21 @@ fn main() {
         seed: u64,
         rows: Vec<Row>,
         grid_first_hit_hours: f64,
-        surrogate_beats_grid: bool,
-        bandit_beats_grid: bool,
         ensemble_distinct: usize,
         best_single_planner: String,
         best_single_distinct: usize,
-        ensemble_beats_best_single: bool,
+        gates: Gates,
     }
     let out = Out {
         seed: SEED,
         rows,
         grid_first_hit_hours: grid,
-        surrogate_beats_grid: surrogate_wins,
-        bandit_beats_grid: bandit_wins,
         ensemble_distinct,
         best_single_planner: best_single,
         best_single_distinct,
-        ensemble_beats_best_single: ensemble_wins,
+        gates,
     };
     // Machine-readable per-PR summary: the perf trajectory CI tracks.
     write_bench_summary("planner_arena", &out);
-
-    if !(surrogate_wins && bandit_wins && ensemble_wins) {
-        // Non-zero exit so CI fails when learning (or cooperation)
-        // stops paying.
-        std::process::exit(1);
-    }
+    out.gates.exit_code()
 }

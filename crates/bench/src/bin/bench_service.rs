@@ -4,8 +4,7 @@
 //! session and a hostile-flood session and gates the service layer
 //! (ISSUE 6):
 //!
-//! 1. **Determinism** — the steady session's
-//!    [`ServiceReport`](evoflow_core::ServiceReport) and
+//! 1. **Determinism** — the steady session's [`ServiceReport`] and
 //!    merged ledger are byte-identical on rerun and at 1/2/4 worker
 //!    threads, and a mid-stream kill + resume from the
 //!    [`ServiceCheckpoint`](evoflow_core::ServiceCheckpoint) reproduces
@@ -21,24 +20,24 @@
 //! 4. **Certification** — `testbed::certify_service` must award
 //!    **S3 (restart-survivable)**, the top of the S0–S3 ladder.
 //! 5. **Throughput** — sustained submissions/sec through plan + execute
-//!    must clear a generous floor (wall-clock; printed, gated, but kept
-//!    out of the JSON summary so CI's byte-diff sees only deterministic
-//!    fields).
+//!    must clear a generous floor (wall-clock; the rate is printed, and
+//!    only the verdict reaches the JSON summary, so CI's byte-diff sees
+//!    deterministic fields).
 //!
-//! Artifacts: the steady report and merged ledger are written to
-//! `SERVICE_DETERMINISM_DIR` (when set) for CI's byte-diff, and a
-//! machine-readable `BENCH_service.json` summary lands in `results/`
-//! (or `BENCH_SUMMARY_DIR`).
+//! Artifacts: a machine-readable `BENCH_service.json` summary (every
+//! gate under `gates`) lands in `results/`; with `BENCH_SUMMARY_DIR`
+//! set, it lands there instead, next to the steady report and merged
+//! ledger, for CI's byte-diff.
 
-use evoflow_bench::{fmt, print_table, write_bench_summary};
+use evoflow_bench::{fmt, print_table, write_artifact, write_bench_summary, Gates};
 use evoflow_core::{
-    resume_service, run_service, run_service_until, CampaignConfig, Cell, MaterialsSpace,
-    ServiceConfig, TenantSpec,
+    resume_service, run_service, run_service_until, CampaignConfig, Cell, FleetLedger,
+    MaterialsSpace, ServiceConfig, ServiceReport, TenantSpec,
 };
 use evoflow_sim::SimDuration;
 use evoflow_testbed::{certify_service, service_ladder, ServiceGrade};
 use serde::Serialize;
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const SEED: u64 = 20260808;
@@ -98,13 +97,6 @@ fn flood_config() -> ServiceConfig {
     cfg
 }
 
-fn emit_artifact(dir: &Option<PathBuf>, name: &str, bytes: &str) {
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir).expect("create determinism dir");
-        std::fs::write(dir.join(name), bytes).expect("write determinism artifact");
-    }
-}
-
 #[derive(Serialize)]
 struct TenantRow {
     tenant: String,
@@ -116,10 +108,8 @@ struct TenantRow {
     fairness_ratio: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let space = MaterialsSpace::generate(3, 8, 555);
-    let artifact_dir = std::env::var_os("SERVICE_DETERMINISM_DIR").map(PathBuf::from);
-    let mut failures: Vec<String> = Vec::new();
 
     // ---- steady session: determinism + responsiveness -------------------
     let steady = steady_config();
@@ -127,72 +117,43 @@ fn main() {
     let (report, ledger) = run_service(&space, &steady).expect("steady session plans");
     let report_bytes = serde_json::to_string(&report).expect("report serializes");
     let ledger_bytes = serde_json::to_string(&ledger).expect("ledger serializes");
-    emit_artifact(&artifact_dir, "service_report.json", &report_bytes);
-    emit_artifact(&artifact_dir, "service_ledger.json", &ledger_bytes);
+    write_artifact("service_report.json", &report_bytes);
+    write_artifact("service_ledger.json", &ledger_bytes);
+    let identical = |r: &ServiceReport, l: &FleetLedger| {
+        serde_json::to_string(r).expect("report serializes") == report_bytes
+            && serde_json::to_string(l).expect("ledger serializes") == ledger_bytes
+    };
 
     // Gate 1a: byte-identical rerun.
     let (rerun_report, rerun_ledger) = run_service(&space, &steady).expect("steady session plans");
-    if serde_json::to_string(&rerun_report).unwrap() != report_bytes
-        || serde_json::to_string(&rerun_ledger).unwrap() != ledger_bytes
-    {
-        failures.push("steady rerun diverged".to_string());
-    }
+    let rerun_identical = identical(&rerun_report, &rerun_ledger);
 
     // Gate 1b: byte-identical at 2 and 4 worker threads.
-    for threads in [2usize, 4] {
+    let threads_identical = [2usize, 4].into_iter().all(|threads| {
         let mut c = steady.clone();
         c.threads = threads;
         let (r, l) = run_service(&space, &c).expect("steady session plans");
-        if serde_json::to_string(&r).unwrap() != report_bytes
-            || serde_json::to_string(&l).unwrap() != ledger_bytes
-        {
-            failures.push(format!("{threads}-thread steady run diverged from serial"));
-        }
-    }
+        identical(&r, &l)
+    });
 
     // Gate 1c: kill mid-stream, resume, byte-identity — at every thread
     // count on both sides of the kill.
-    for threads in [1usize, 2, 4] {
+    let resume_identical = [1usize, 2, 4].into_iter().all(|threads| {
         let mut c = steady.clone();
         c.threads = threads;
-        let resumed = run_service_until(&space, &c, KILL_AFTER)
+        run_service_until(&space, &c, KILL_AFTER)
             .ok()
-            .and_then(|ckpt| resume_service(&space, &c, &ckpt).ok());
-        match resumed {
-            Some((r, l))
-                if serde_json::to_string(&r).unwrap() == report_bytes
-                    && serde_json::to_string(&l).unwrap() == ledger_bytes => {}
-            _ => failures.push(format!("{threads}-thread kill+resume diverged")),
-        }
-    }
-
-    // Gate 3: p99 time-to-first-iteration proxy.
-    if report.p99_wait_rounds > MAX_P99_WAIT_ROUNDS {
-        failures.push(format!(
-            "steady p99 wait {} rounds exceeds budget {MAX_P99_WAIT_ROUNDS}",
-            report.p99_wait_rounds
-        ));
-    }
+            .and_then(|ckpt| resume_service(&space, &c, &ckpt).ok())
+            .is_some_and(|(r, l)| identical(&r, &l))
+    });
 
     // ---- flood session: fairness under hostility ------------------------
     let flood = flood_config();
     let (flood_report, _) = run_service(&space, &flood).expect("flood session plans");
-    let mut min_fairness = f64::INFINITY;
-    for t in flood_report.tenants.iter().filter(|t| t.name != "hostile") {
-        min_fairness = min_fairness.min(t.fairness_ratio);
-        if t.fairness_ratio < FAIRNESS_FLOOR {
-            failures.push(format!(
-                "{}: fairness ratio {:.3} below floor {FAIRNESS_FLOOR} under {HOSTILE_MULTIPLIER}x flood",
-                t.name, t.fairness_ratio
-            ));
-        }
-        if t.completed != t.admitted {
-            failures.push(format!(
-                "{}: only {}/{} admitted campaigns completed under flood",
-                t.name, t.completed, t.admitted
-            ));
-        }
-    }
+    let well_behaved = || flood_report.tenants.iter().filter(|t| t.name != "hostile");
+    let mut min_fairness = well_behaved()
+        .map(|t| t.fairness_ratio)
+        .fold(f64::INFINITY, f64::min);
     if !min_fairness.is_finite() {
         min_fairness = 0.0;
     }
@@ -200,14 +161,10 @@ fn main() {
 
     // ---- certification: the S0–S3 ladder --------------------------------
     let cert = certify_service(&space, &service_ladder());
-    if cert.grade != ServiceGrade::S3RestartSurvivable {
-        failures.push(format!("ladder grade {} (want S3)", cert.grade));
-    }
 
     // ---- throughput (wall-clock; gated, never serialized) ---------------
     let sessions_submissions = (steady.submissions.len() * 7 + flood.submissions.len()) as f64;
     let submissions_per_sec = sessions_submissions / elapsed.max(1e-9);
-    let throughput_ok = submissions_per_sec >= MIN_SUBMISSIONS_PER_SEC;
 
     // ---- report ---------------------------------------------------------
     let rows: Vec<TenantRow> = flood_report
@@ -255,44 +212,46 @@ fn main() {
     );
 
     println!(
-        "\n  [{}] determinism: rerun, 1/2/4 threads, kill@{KILL_AFTER}+resume",
-        if failures.is_empty() { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "  [{}] fairness: min well-behaved ratio {} (floor {FAIRNESS_FLOOR})",
-        if min_fairness >= FAIRNESS_FLOOR {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+        "\n  min well-behaved fairness {}, steady p99 wait {} rounds, ladder {}, \
+         {} submissions/sec sustained\n",
         fmt(min_fairness),
-    );
-    println!(
-        "  [{}] responsiveness: steady p99 wait {} rounds (budget {MAX_P99_WAIT_ROUNDS})",
-        if report.p99_wait_rounds <= MAX_P99_WAIT_ROUNDS {
-            "PASS"
-        } else {
-            "FAIL"
-        },
         report.p99_wait_rounds,
-    );
-    println!(
-        "  [{}] certification: {}",
-        if cert.grade == ServiceGrade::S3RestartSurvivable {
-            "PASS"
-        } else {
-            "FAIL"
-        },
         cert.grade,
-    );
-    println!(
-        "  [{}] throughput: {} submissions/sec sustained (floor {MIN_SUBMISSIONS_PER_SEC}/s, wall-clock)",
-        if throughput_ok { "PASS" } else { "FAIL" },
         fmt(submissions_per_sec),
     );
-    for f in &failures {
-        println!("    FAIL: {f}");
-    }
+    let mut gates = Gates::new();
+    gates.check("steady session byte-identical on rerun", rerun_identical);
+    gates.check(
+        "steady session byte-identical at 2 and 4 threads",
+        threads_identical,
+    );
+    gates.check(
+        format!("kill@{KILL_AFTER} + resume byte-identical at 1, 2 and 4 threads"),
+        resume_identical,
+    );
+    gates.check(
+        format!("steady p99 wait ≤ {MAX_P99_WAIT_ROUNDS} rounds"),
+        report.p99_wait_rounds <= MAX_P99_WAIT_ROUNDS,
+    );
+    gates.check(
+        format!(
+            "every well-behaved tenant keeps ≥ {FAIRNESS_FLOOR} of its fair share under a \
+             {HOSTILE_MULTIPLIER}x flood"
+        ),
+        well_behaved().all(|t| t.fairness_ratio >= FAIRNESS_FLOOR),
+    );
+    gates.check(
+        "every well-behaved tenant completes all admitted campaigns under the flood",
+        well_behaved().all(|t| t.completed == t.admitted),
+    );
+    gates.check(
+        "service ladder certifies S3 (restart-survivable)",
+        cert.grade == ServiceGrade::S3RestartSurvivable,
+    );
+    gates.check(
+        format!("sustained throughput ≥ {MIN_SUBMISSIONS_PER_SEC} submissions/sec"),
+        submissions_per_sec >= MIN_SUBMISSIONS_PER_SEC,
+    );
 
     // Deterministic summary only (no wall-clock): CI byte-diffs it.
     #[derive(Serialize)]
@@ -308,8 +267,7 @@ fn main() {
         min_well_behaved_fairness: f64,
         ladder_grade: String,
         tenants: Vec<TenantRow>,
-        determinism_failures: Vec<String>,
-        pass: bool,
+        gates: Gates,
     }
     let out = Out {
         seed: SEED,
@@ -323,14 +281,8 @@ fn main() {
         min_well_behaved_fairness: min_fairness,
         ladder_grade: cert.grade.to_string(),
         tenants: rows,
-        determinism_failures: failures.clone(),
-        pass: failures.is_empty(),
+        gates,
     };
     write_bench_summary("service", &out);
-
-    if !failures.is_empty() || !throughput_ok {
-        // Non-zero exit so CI fails on any determinism, fairness,
-        // responsiveness, certification, or throughput regression.
-        std::process::exit(1);
-    }
+    out.gates.exit_code()
 }

@@ -8,12 +8,13 @@
 //! hand-off overhead) — DESIGN.md §6.4.
 
 use evoflow_agents::Pattern;
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_core::{run_campaign, CampaignConfig, Cell, CoordinationMode, MaterialsSpace};
 use evoflow_facility::HumanModel;
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
+use std::process::ExitCode;
 
 const DAYS: u64 = 28;
 const SEEDS: u64 = 6;
@@ -52,7 +53,7 @@ fn run(label: &str, cell: Cell, coord: CoordinationMode, space: &MaterialsSpace)
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let space = MaterialsSpace::generate(3, 10, 777);
 
     let configs = vec![
@@ -156,11 +157,12 @@ fn main() {
     println!("\nHeadline:");
     println!("  discovery-rate speedup D/A : {:.0}×", speedup_d);
     println!("  sample-throughput speedup  : {:.0}×", sample_speedup);
-    let ok = (10.0..=500.0).contains(&speedup_d) && sample_speedup >= 10.0;
-    println!(
-        "  [{}] lands in the paper's 10–100× claim band (shape, not exact numbers)",
-        if ok { "PASS" } else { "FAIL" }
+    let mut gates = Gates::new();
+    gates.check(
+        "lands in the paper's 10–100× claim band (shape, not exact numbers)",
+        (10.0..=500.0).contains(&speedup_d) && sample_speedup >= 10.0,
     );
 
     write_results("claim_acceleration", &configs);
+    gates.exit_code()
 }

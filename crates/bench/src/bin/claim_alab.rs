@@ -7,12 +7,13 @@
 //! samples/day and novel materials over a 17-day window.
 
 use evoflow_agents::Pattern;
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_core::{run_campaign, CampaignConfig, Cell, CoordinationMode, MaterialsSpace};
 use evoflow_facility::HumanModel;
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct LabRun {
@@ -22,7 +23,7 @@ struct LabRun {
     total_hits: u64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     // A rich landscape: the A-lab screened a large candidate space with
     // many viable targets (58 attempted, 41 synthesized).
     let space = MaterialsSpace::generate(4, 45, 4141);
@@ -88,11 +89,12 @@ fn main() {
         "  novel materials in 17 days        : {} (paper: 41)",
         runs[1].novel_materials_17d
     );
-    let ok = (25.0..=400.0).contains(&ratio) && runs[1].novel_materials_17d >= 20;
-    println!(
-        "  [{}] reproduces the A-lab shape (order of magnitude + dozens of materials)",
-        if ok { "PASS" } else { "FAIL" }
+    let mut gates = Gates::new();
+    gates.check(
+        "reproduces the A-lab shape (order of magnitude + dozens of materials)",
+        (25.0..=400.0).contains(&ratio) && runs[1].novel_materials_17d >= 20,
     );
 
     write_results("claim_alab", &runs);
+    gates.exit_code()
 }

@@ -6,11 +6,12 @@
 //! promising fraction is "synthesized" (expensively measured), and the hit
 //! yield is compared against blind screening of the same budget.
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_core::MaterialsSpace;
 use evoflow_learn::RbfSurrogate;
 use evoflow_sim::{RngRegistry, SimRng};
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const TOTAL: usize = 1_000_000;
@@ -27,7 +28,7 @@ struct Screen {
     wall_seconds: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let space = MaterialsSpace::generate(DIM, 60, 1_000_000);
     let reg = RngRegistry::new(9_000_000);
 
@@ -165,11 +166,12 @@ fn main() {
     println!("\nHeadline:");
     println!("  1,000,000 candidates triaged in {guided_time:.1}s wall-clock");
     println!("  hit enrichment over blind screening: {enrichment:.1}×");
-    let ok = guided_hits > random_hits && guided_distinct >= random_distinct;
-    println!(
-        "  [{}] swarm screening at the million scale beats blind use of the same budget",
-        if ok { "PASS" } else { "FAIL" }
+    let mut gates = Gates::new();
+    gates.check(
+        "swarm screening at the million scale beats blind use of the same budget",
+        guided_hits > random_hits && guided_distinct >= random_distinct,
     );
 
     write_results("claim_million", &runs);
+    gates.exit_code()
 }

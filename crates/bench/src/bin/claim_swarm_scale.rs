@@ -7,13 +7,14 @@
 //! ablation k ∈ {2..16} (DESIGN.md §6.2): larger k converges faster but
 //! costs proportionally more channels.
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_coord::consensus::topology;
 use evoflow_coord::{gossip_consensus, run_quorum, QuorumConfig};
 use evoflow_core::{run_campaign_fleet, Cell, FleetConfig, MaterialsSpace};
 use evoflow_sim::{SimDuration, SimRng};
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -44,7 +45,7 @@ struct FleetRow {
     wall_secs: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let k = 8usize;
     let mut rows = Vec::new();
     for n in [10u64, 50, 100, 250, 500, 1000, 2000] {
@@ -199,27 +200,23 @@ fn main() {
         fmt(swarm_growth),
         fmt(n_growth)
     );
-    let checks = [
-        (
-            "swarm channel growth is linear in n",
-            (swarm_growth - n_growth).abs() < 1.0,
-        ),
-        (
-            "mesh channel growth is ~quadratic",
-            mesh_growth > n_growth * n_growth * 0.5,
-        ),
-        (
-            "gossip rounds stay ~flat to n = 2000",
-            rows.iter().map(|r| r.gossip_rounds).max().unwrap() <= 2 * rows[0].gossip_rounds.max(4),
-        ),
-        (
-            "larger k converges in fewer rounds",
-            krows.first().unwrap().rounds >= krows.last().unwrap().rounds,
-        ),
-    ];
-    for (name, ok) in checks {
-        println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
-    }
+    let mut gates = Gates::new();
+    gates.check(
+        "swarm channel growth is linear in n",
+        (swarm_growth - n_growth).abs() < 1.0,
+    );
+    gates.check(
+        "mesh channel growth is ~quadratic",
+        mesh_growth > n_growth * n_growth * 0.5,
+    );
+    gates.check(
+        "gossip rounds stay ~flat to n = 2000",
+        rows.iter().map(|r| r.gossip_rounds).max().unwrap() <= 2 * rows[0].gossip_rounds.max(4),
+    );
+    gates.check(
+        "larger k converges in fewer rounds",
+        krows.first().unwrap().rounds >= krows.last().unwrap().rounds,
+    );
 
     #[derive(Serialize)]
     struct Out {
@@ -235,4 +232,5 @@ fn main() {
             fleet_campaigns: fleet_rows,
         },
     );
+    gates.exit_code()
 }

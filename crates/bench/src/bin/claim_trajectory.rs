@@ -7,7 +7,7 @@
 //! intermediate cell, and shows each transition buying measurable
 //! capability — evolution, not revolution.
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_core::{
     run_campaign, CampaignConfig, Cell, CoordinationMode, MaterialsSpace, TrajectoryPlanner,
 };
@@ -15,6 +15,7 @@ use evoflow_facility::HumanModel;
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
 use serde::Serialize;
+use std::process::ExitCode;
 
 const DAYS: u64 = 21;
 const SEEDS: u64 = 4;
@@ -29,7 +30,7 @@ struct Step {
     best_score: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let space = MaterialsSpace::generate(3, 10, 3407);
     let planner = TrajectoryPlanner;
     let path = planner.plan(Cell::traditional_wms(), Cell::autonomous_science());
@@ -110,14 +111,12 @@ fn main() {
         fmt(last.discoveries_per_week)
     );
     let improved = last.discoveries_per_week > first.discoveries_per_week;
-    println!(
-        "  [{}] the prescribed path ends far above its start (evolution pays)",
-        if improved && monotone_end {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+    let mut gates = Gates::new();
+    gates.check(
+        "the prescribed path ends far above its start (evolution pays)",
+        improved && monotone_end,
     );
 
     write_results("claim_trajectory", &steps);
+    gates.exit_code()
 }

@@ -9,10 +9,11 @@
 //!    enumeration succeeds for Static/Adaptive, exhausts realistic budgets
 //!    at Learning/Optimizing, and never terminates for Ω (unbounded).
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_sm::dag::shapes;
 use evoflow_sm::{controller_for_level, verify_behaviour_space, verify_fsm, IntelligenceLevel};
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -32,7 +33,7 @@ struct LevelRow {
     verified: bool,
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Part 1: exponential frontier growth vs linear workflow size.
     let mut growth = Vec::new();
     for width in [2usize, 4, 6, 8, 10, 12, 14] {
@@ -120,22 +121,18 @@ fn main() {
         &rows,
     );
 
-    let checks = [
-        (
-            "Static & Adaptive verify within budget",
-            levels[0].verified && levels[1].verified,
-        ),
-        ("Learning exceeds a 10M-unit budget", !levels[2].verified),
-        (
-            "Ω is unbounded (undecidable proxy)",
-            levels[4].space == "unbounded" && !levels[4].verified,
-        ),
-        ("frontier growth is super-linear", ratio > 100.0),
-    ];
     println!();
-    for (name, ok) in checks {
-        println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
-    }
+    let mut gates = Gates::new();
+    gates.check(
+        "Static & Adaptive verify within budget",
+        levels[0].verified && levels[1].verified,
+    );
+    gates.check("Learning exceeds a 10M-unit budget", !levels[2].verified);
+    gates.check(
+        "Ω is unbounded (undecidable proxy)",
+        levels[4].space == "unbounded" && !levels[4].verified,
+    );
+    gates.check("frontier growth is super-linear", ratio > 100.0);
 
     #[derive(Serialize)]
     struct Out {
@@ -143,4 +140,5 @@ fn main() {
         levels: Vec<LevelRow>,
     }
     write_results("claim_verification", &Out { growth, levels });
+    gates.exit_code()
 }

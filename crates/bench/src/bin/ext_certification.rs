@@ -8,9 +8,10 @@
 //! reference graded at its own level) holds, and the evidence shows each
 //! disturbance class defeating exactly the levels below its rung.
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_testbed::{expected_grade, reference_matrix, AutonomyGrade};
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct MatrixRow {
@@ -22,7 +23,7 @@ struct MatrixRow {
     rung_passed: Vec<bool>,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let matrix = reference_matrix(2025);
 
     let mut rows = Vec::new();
@@ -63,9 +64,10 @@ fn main() {
     );
 
     println!("\nHeadline checks:");
-    println!(
-        "  [{}] diagonal: every reference grades at its own level",
-        if diagonal_holds { "PASS" } else { "FAIL" }
+    let mut gates = Gates::new();
+    gates.check(
+        "diagonal: every reference grades at its own level",
+        diagonal_holds,
     );
     // Each rung defeats exactly the levels below it: the L(k) reference
     // fails rung k+1.
@@ -75,19 +77,16 @@ fn main() {
             .map(|next| !next.passed)
             .unwrap_or(true)
     });
-    println!(
-        "  [{}] each reference fails the rung one above its level",
-        if strictly_graded { "PASS" } else { "FAIL" }
+    gates.check(
+        "each reference fails the rung one above its level",
+        strictly_graded,
     );
     let intelligent_cert = &matrix.last().expect("five levels").1;
-    println!(
-        "  [{}] the Ω reference passes every rung (L4 contiguity)",
-        if intelligent_cert.achieved == Some(AutonomyGrade::L4Intelligent) {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+    gates.check(
+        "the Ω reference passes every rung (L4 contiguity)",
+        intelligent_cert.achieved == Some(AutonomyGrade::L4Intelligent),
     );
 
     write_results("ext_certification", &rows);
+    gates.exit_code()
 }

@@ -5,9 +5,10 @@
 //! smoke cycle (agent decision → coordination → facility → data layer →
 //! dashboard) to show the layers actually talk to each other.
 
-use evoflow_bench::{print_table, write_results};
+use evoflow_bench::{print_table, write_results, Gates};
 use evoflow_core::LabRuntime;
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct LayerSummary {
@@ -16,7 +17,7 @@ struct LayerSummary {
     healthy: usize,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut rt = LabRuntime::standard(2026);
     let inventory = rt.inventory();
 
@@ -76,11 +77,13 @@ fn main() {
     let resolved = rt.human.resolve_intervention();
     println!("  intervention resolved: {resolved:?}");
 
-    let ok = layers_touched == 6 && inventory.iter().all(|c| c.healthy);
-    println!(
-        "\n[{}] all six layers assembled, healthy, and interoperating",
-        if ok { "PASS" } else { "FAIL" }
+    println!();
+    let mut gates = Gates::new();
+    gates.check(
+        "all six layers assembled, healthy, and interoperating",
+        layers_touched == 6 && inventory.iter().all(|c| c.healthy),
     );
 
     write_results("fig2_layers", &summary);
+    gates.exit_code()
 }

@@ -5,9 +5,10 @@
 //! administrative boundaries, authenticated cross-facility handshakes, and
 //! data-fabric transfers at the paper's §5.3 bandwidth classes.
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_core::Federation;
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct TransferRow {
@@ -19,7 +20,7 @@ struct TransferRow {
     route: String,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut fed = Federation::standard();
 
     // Facility inventory.
@@ -123,11 +124,13 @@ fn main() {
         .iter()
         .find(|t| t.to == "ai-hub" && t.from == "hpc-center")
         .expect("row");
-    let ok = all_auth && hub.bottleneck_gbps >= 400.0;
-    println!(
-        "\n[{}] federation deployed: discovery + auth + fabric operational",
-        if ok { "PASS" } else { "FAIL" }
+    println!();
+    let mut gates = Gates::new();
+    gates.check(
+        "federation deployed: discovery + auth + fabric operational",
+        all_auth && hub.bottleneck_gbps >= 400.0,
     );
 
     write_results("fig3_federation", &transfers);
+    gates.exit_code()
 }

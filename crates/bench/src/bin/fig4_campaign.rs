@@ -7,11 +7,12 @@
 //! meta-optimization agent rewrites strategy when yield stalls. Prints the
 //! discovery timeline and the knowledge artifacts the loop produced.
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_core::{run_campaign, CampaignConfig, Cell, CoordinationMode, MaterialsSpace};
 use evoflow_sim::SimDuration;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let space = MaterialsSpace::generate(3, 10, 0xF164u64);
     let mut cfg = CampaignConfig::for_cell(Cell::autonomous_science(), 41);
     cfg.horizon = SimDuration::from_days(14);
@@ -78,23 +79,20 @@ fn main() {
         &rows,
     );
 
-    let checks = [
-        (
-            "loop ran autonomously (decision wait ≪ execution)",
-            report.decision_wait_hours < 0.1 * report.execution_hours,
-        ),
-        ("discoveries were made", report.distinct_discoveries > 0),
-        ("knowledge graph populated", report.kg_nodes > 0),
-        (
-            "provenance captured AI reasoning",
-            report.prov_activities > 0,
-        ),
-        ("validation gate exercised", report.rejected_proposals > 0),
-    ];
     println!();
-    for (name, ok) in checks {
-        println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
-    }
+    let mut gates = Gates::new();
+    gates.check(
+        "loop ran autonomously (decision wait ≪ execution)",
+        report.decision_wait_hours < 0.1 * report.execution_hours,
+    );
+    gates.check("discoveries were made", report.distinct_discoveries > 0);
+    gates.check("knowledge graph populated", report.kg_nodes > 0);
+    gates.check(
+        "provenance captured AI reasoning",
+        report.prov_activities > 0,
+    );
+    gates.check("validation gate exercised", report.rejected_proposals > 0);
 
     write_results("fig4_campaign", &report);
+    gates.exit_code()
 }

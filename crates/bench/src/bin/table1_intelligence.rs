@@ -10,10 +10,11 @@
 //! * per-decision cost scales from O(1) lookup toward unbounded reasoning;
 //! * verification space grows from trivially finite to undecidable.
 
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use evoflow_sim::SimRng;
 use evoflow_sm::{controller_for_level, run_episode, IntelligenceLevel, Scenario};
 use serde::Serialize;
+use std::process::ExitCode;
 
 const SEEDS: u64 = 24;
 const HORIZON: u32 = 500;
@@ -58,7 +59,7 @@ fn evaluate(level: IntelligenceLevel, scenario: Scenario) -> CellResult {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut results = Vec::new();
     for scenario in Scenario::all() {
         for level in IntelligenceLevel::ALL {
@@ -103,34 +104,31 @@ fn main() {
             .expect("cell exists")
     };
     println!("\nHeadline checks:");
-    let checks = [
-        (
-            "Adaptive > Static under noise",
-            get("Adaptive", "noisy").in_band > get("Static", "noisy").in_band,
-        ),
-        (
-            "Optimizing > Adaptive under bias",
-            get("Optimizing", "biased").in_band > get("Adaptive", "biased").in_band,
-        ),
-        (
-            "Learning > Adaptive under bias (after training)",
-            get("Learning", "biased").in_band > get("Adaptive", "biased").in_band,
-        ),
-        (
-            "Intelligent > Optimizing under regime shift",
-            get("Intelligent", "regime").in_band > get("Optimizing", "regime").in_band,
-        ),
-        ("decision cost strictly increases with level", {
-            let costs: Vec<f64> = IntelligenceLevel::ALL
-                .iter()
-                .map(|l| get(&l.to_string(), "stable").cost_per_step)
-                .collect();
-            costs.windows(2).all(|w| w[0] < w[1])
-        }),
-    ];
-    for (name, ok) in checks {
-        println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
-    }
+    let mut gates = Gates::new();
+    gates.check(
+        "Adaptive > Static under noise",
+        get("Adaptive", "noisy").in_band > get("Static", "noisy").in_band,
+    );
+    gates.check(
+        "Optimizing > Adaptive under bias",
+        get("Optimizing", "biased").in_band > get("Adaptive", "biased").in_band,
+    );
+    gates.check(
+        "Learning > Adaptive under bias (after training)",
+        get("Learning", "biased").in_band > get("Adaptive", "biased").in_band,
+    );
+    gates.check(
+        "Intelligent > Optimizing under regime shift",
+        get("Intelligent", "regime").in_band > get("Optimizing", "regime").in_band,
+    );
+    gates.check("decision cost strictly increases with level", {
+        let costs: Vec<f64> = IntelligenceLevel::ALL
+            .iter()
+            .map(|l| get(&l.to_string(), "stable").cost_per_step)
+            .collect();
+        costs.windows(2).all(|w| w[0] < w[1])
+    });
 
     write_results("table1_intelligence", &results);
+    gates.exit_code()
 }

@@ -6,8 +6,9 @@
 //! total — i.e. O(k) per member, independent of n.
 
 use evoflow_agents::{Agent, AgentMsg, AveragingAgent, Ensemble, MapAgent, Pattern};
-use evoflow_bench::{fmt, print_table, write_results};
+use evoflow_bench::{fmt, print_table, write_results, Gates};
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct ScalingRow {
@@ -29,7 +30,7 @@ fn agents_for(pattern: Pattern, n: usize) -> Vec<Box<dyn Agent>> {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let sizes = [2usize, 4, 8, 16, 32, 64, 128, 256, 512];
     let k = 6;
     let mut rows = Vec::new();
@@ -89,27 +90,24 @@ fn main() {
     let swarm = at(&format!("{:?}", Pattern::Swarm { k }), 512).channels;
     let pipe = at("Pipeline", 512).channels;
     let hier = at("Hierarchical", 512).channels;
-    let checks = [
-        ("pipeline channels = n-1 (O(n))", pipe == n - 1),
-        ("hierarchical channels = n-1 (O(n))", hier == n - 1),
-        ("mesh channels = n(n-1)/2 (O(n²))", mesh == n * (n - 1) / 2),
-        (
-            "swarm channels = n·k/2 (O(k) per member)",
-            swarm == n * k as u64 / 2,
-        ),
-        ("mesh/swarm channel ratio ≈ (n-1)/k", {
-            let ratio = mesh as f64 / swarm as f64;
-            (ratio - (n as f64 - 1.0) / k as f64).abs() < 1.0
-        }),
-        ("swarm channels/member constant across n", {
-            let a = at(&format!("{:?}", Pattern::Swarm { k }), 64).channels_per_member;
-            let b = at(&format!("{:?}", Pattern::Swarm { k }), 512).channels_per_member;
-            (a - b).abs() < 1e-9
-        }),
-    ];
-    for (name, ok) in checks {
-        println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
-    }
+    let mut gates = Gates::new();
+    gates.check("pipeline channels = n-1 (O(n))", pipe == n - 1);
+    gates.check("hierarchical channels = n-1 (O(n))", hier == n - 1);
+    gates.check("mesh channels = n(n-1)/2 (O(n²))", mesh == n * (n - 1) / 2);
+    gates.check(
+        "swarm channels = n·k/2 (O(k) per member)",
+        swarm == n * k as u64 / 2,
+    );
+    gates.check("mesh/swarm channel ratio ≈ (n-1)/k", {
+        let ratio = mesh as f64 / swarm as f64;
+        (ratio - (n as f64 - 1.0) / k as f64).abs() < 1.0
+    });
+    gates.check("swarm channels/member constant across n", {
+        let a = at(&format!("{:?}", Pattern::Swarm { k }), 64).channels_per_member;
+        let b = at(&format!("{:?}", Pattern::Swarm { k }), 512).channels_per_member;
+        (a - b).abs() < 1e-9
+    });
 
     write_results("table2_composition", &rows);
+    gates.exit_code()
 }

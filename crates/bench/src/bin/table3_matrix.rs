@@ -6,7 +6,7 @@
 //! cell. Prints the populated matrix with each exemplar's measured outcome.
 
 use evoflow_agents::{Agent, AgentMsg, AveragingAgent, Ensemble, MapAgent, Pattern};
-use evoflow_bench::{print_table, write_results};
+use evoflow_bench::{print_table, write_results, Gates};
 use evoflow_cogsim::{CognitiveModel, LlmAgent, LrmAgent, ModelProfile, ToolOutput, ToolRegistry};
 use evoflow_core::{
     classify, run_campaign, CampaignConfig, Cell, MaterialsSpace, SystemDescriptor,
@@ -20,6 +20,7 @@ use evoflow_sim::{SimDuration, SimRng, SimTime};
 use evoflow_sm::{controller_for_level, run_episode, IntelligenceLevel, Scenario};
 use evoflow_wms::{execute, run_sweep, FaultPolicy, ParameterGrid, Workflow};
 use serde::Serialize;
+use std::process::ExitCode;
 
 #[derive(Serialize)]
 struct CellRun {
@@ -279,7 +280,7 @@ fn run_exemplar(level: IntelligenceLevel, pattern: Pattern) -> String {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut runs = Vec::new();
     for pattern in Pattern::all() {
         for level in IntelligenceLevel::ALL {
@@ -324,5 +325,11 @@ fn main() {
 
     let correct = runs.iter().filter(|r| r.classified_correctly).count();
     println!("\nClassifier agreement: {correct}/25 cells");
+    let mut gates = Gates::new();
+    gates.check(
+        "the classifier places every cell back in its own cell",
+        correct == 25,
+    );
     write_results("table3_matrix", &runs);
+    gates.exit_code()
 }

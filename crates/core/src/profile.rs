@@ -260,9 +260,16 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
-    /// Total wall nanoseconds across phases.
+    /// Total wall nanoseconds across the top-level phases (propose,
+    /// execute, observe, emit, steal). The `propose.*` sub-phases run
+    /// inside propose's scope, so their time is already in it and is not
+    /// added again.
     pub fn total_nanos(&self) -> u64 {
-        self.phases.iter().map(|s| s.nanos).sum()
+        self.phases
+            .iter()
+            .filter(|s| !s.phase.contains('.'))
+            .map(|s| s.nanos)
+            .sum()
     }
 
     /// The deterministic projection: same counts, `nanos` zeroed. This
@@ -338,6 +345,17 @@ mod tests {
         let b = prof.breakdown().counts_only();
         assert_eq!(b.count_of(Phase::Execute), 5);
         assert_eq!(b.total_nanos(), 0);
+    }
+
+    #[test]
+    fn total_nanos_sums_top_level_phases_only() {
+        let mut b = PhaseProfiler::enabled().breakdown();
+        for (i, stat) in b.phases.iter_mut().enumerate() {
+            stat.nanos = 10u64.pow(i as u32);
+        }
+        // propose 1 + execute 10 + observe 100 + emit 1 000 + steal
+        // 10 000; the propose.* sub-phases (1e5..1e7) are inside propose.
+        assert_eq!(b.total_nanos(), 11_111);
     }
 
     #[test]

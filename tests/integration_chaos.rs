@@ -6,8 +6,8 @@
 //! public stack.
 //!
 //! When `CHAOS_DETERMINISM_DIR` is set, every resumed fleet report is
-//! also written there as JSON; the `chaos-determinism` CI job runs this
-//! test twice with the same seeds and diffs the two directories
+//! also written there as JSON; CI's `gates` job runs this test twice with
+//! the same seeds, next to `bench_chaos`, and diffs the two directories
 //! byte-for-byte.
 
 use evoflow::core::{
