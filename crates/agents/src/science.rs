@@ -431,6 +431,16 @@ pub struct LibrarianAgent {
 }
 
 impl LibrarianAgent {
+    /// Knowledge-graph nodes each [`record_iteration`](Self::record_iteration)
+    /// call adds: fresh hypothesis, experiment and result keys.
+    pub const NODES_PER_ITERATION: usize = 3;
+    /// Provenance activities each `record_iteration` call adds: the
+    /// reasoning step and the experiment.
+    pub const ACTIVITIES_PER_ITERATION: usize = 2;
+    /// Provenance entities each `record_iteration` call adds: the
+    /// hypothesis and the result.
+    pub const ENTITIES_PER_ITERATION: usize = 2;
+
     /// Create an empty librarian.
     pub fn new() -> Self {
         let mut l = LibrarianAgent::default();
@@ -440,7 +450,11 @@ impl LibrarianAgent {
     }
 
     /// Record one campaign iteration: hypothesis → experiment → result,
-    /// with full provenance including the AI reasoning trace.
+    /// with full provenance including the AI reasoning trace. Every call
+    /// grows the stores by exactly [`NODES_PER_ITERATION`](Self::NODES_PER_ITERATION),
+    /// [`ACTIVITIES_PER_ITERATION`](Self::ACTIVITIES_PER_ITERATION) and
+    /// [`ENTITIES_PER_ITERATION`](Self::ENTITIES_PER_ITERATION), so a
+    /// count of calls is a count of records.
     /// Returns the knowledge-graph key of the result node.
     pub fn record_iteration(
         &mut self,
@@ -754,6 +768,33 @@ mod tests {
         l.record_iteration(&good, 0.1, TokenUsage::default(), 0.5);
         assert_eq!(l.supported_hypotheses(), 1); // second was refuted
         assert_eq!(l.prov.activity_count(), 4); // 2 reasoning + 2 experiments
+    }
+
+    #[test]
+    fn record_iteration_grows_the_stores_by_the_per_iteration_constants() {
+        let mut l = LibrarianAgent::new();
+        for i in 1..=5usize {
+            let c = Candidate {
+                params: vec![0.1 * i as f64],
+                rationale: if i % 2 == 0 {
+                    "same words".into()
+                } else {
+                    format!("r{i}").into()
+                },
+                confidence: 0.5,
+                hallucinated: i == 3,
+            };
+            l.record_iteration(&c, i as f64 / 5.0, TokenUsage::default(), 0.5);
+            assert_eq!(l.kg.node_count(), i * LibrarianAgent::NODES_PER_ITERATION);
+            assert_eq!(
+                l.prov.activity_count(),
+                i * LibrarianAgent::ACTIVITIES_PER_ITERATION
+            );
+            assert_eq!(
+                l.prov.entity_count(),
+                i * LibrarianAgent::ENTITIES_PER_ITERATION
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! measures wall-clock speedup over the serial baseline, while gating
 //! that every configuration produces the identical [`FleetReport`](evoflow_core::FleetReport)
 //! (determinism is not allowed to cost correctness, and parallelism is
-//! not allowed to cost determinism). Every timed configuration runs
-//! [`REPS`] times and keeps the minimum — the standard noise filter for
-//! shared runners.
+//! not allowed to cost determinism). Every configuration of the thread
+//! sweep runs [`REPS`] times and keeps the minimum — the standard noise
+//! filter for shared runners.
 //!
 //! Three gates (ISSUE 8), each scaled to what the host can actually show:
 //!
@@ -25,7 +25,11 @@
 //! 3. **Recording tax.** A recorded fleet (every event batched through
 //!    the ledger observers) must keep ≥ [`RECORDED_RATIO_FLOOR`] of the
 //!    unobserved fleet's throughput, and its report must be
-//!    byte-identical to the unobserved one.
+//!    byte-identical to the unobserved one. Both sides are timed in
+//!    [`TAX_PAIRS`] back-to-back (unobserved, recorded) pairs at one
+//!    thread, alternating which runs first, and the gate reads the
+//!    median per-pair ratio: host speed drifts between the thread sweep
+//!    and a later recorded run, but not within a pair.
 //!
 //! Every gate lands in `BENCH_fleet.json` under `gates`, next to the
 //! host timings it was judged on; the summary is therefore the one
@@ -61,8 +65,13 @@ const RELATIVE_SPEEDUP_FRACTION: f64 = 0.6;
 /// serial and only the overhead gate applies.
 const CALIBRATION_PARALLEL_MIN: f64 = 1.2;
 
-/// Timed configurations run this many times; the minimum wall time wins.
+/// Thread-sweep configurations run this many times; the minimum wall
+/// time wins.
 const REPS: usize = 3;
+
+/// Back-to-back (unobserved, recorded) pairs the recording-tax gate
+/// times; even, so each side runs first equally often.
+const TAX_PAIRS: usize = 6;
 
 #[derive(Serialize)]
 struct Row {
@@ -134,6 +143,17 @@ fn calibration_secs(tasks: usize, iters: u64, threads: usize) -> f64 {
 /// Minimum wall seconds over [`REPS`] runs of `f`.
 fn min_secs(mut f: impl FnMut() -> f64) -> f64 {
     (0..REPS).map(|_| f()).fold(f64::INFINITY, f64::min)
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
 }
 
 fn main() -> ExitCode {
@@ -236,19 +256,46 @@ fn main() -> ExitCode {
         .fold(f64::NEG_INFINITY, f64::max);
 
     // ---- Recording tax: recorded vs unobserved throughput -----------
+    // Back-to-back pairs at one thread, alternating which side runs
+    // first; each pair's ratio sees one host speed.
     let serial_cfg = build_fleet(campaigns, 1);
-    let mut recorded_json = String::new();
+    let mut recorded_identical = true;
     let mut breakdown = None;
-    let recorded_secs = min_secs(|| {
+    let (mut unobserved_walls, mut recorded_walls, mut pair_ratios) =
+        (Vec::new(), Vec::new(), Vec::new());
+    let unobserved = || {
+        let started = Instant::now();
+        let report = run_campaign_fleet(&space, &serial_cfg);
+        let wall = started.elapsed().as_secs_f64();
+        (
+            wall,
+            serde_json::to_string(&report).expect("report serializes"),
+        )
+    };
+    let recorded = || {
         let started = Instant::now();
         let (report, _ledger, prof) = run_campaign_fleet_profiled(&space, &serial_cfg);
         let wall = started.elapsed().as_secs_f64();
-        recorded_json = serde_json::to_string(&report).expect("report serializes");
+        let json = serde_json::to_string(&report).expect("report serializes");
+        (wall, json, prof)
+    };
+    for pair in 0..TAX_PAIRS {
+        let ((u, u_json), (r, r_json, prof)) = if pair % 2 == 0 {
+            let u = unobserved();
+            (u, recorded())
+        } else {
+            let r = recorded();
+            (unobserved(), r)
+        };
+        recorded_identical &= u_json == baseline_json && r_json == baseline_json;
         breakdown = Some(prof);
-        wall
-    });
+        unobserved_walls.push(u);
+        recorded_walls.push(r);
+        pair_ratios.push(u / r.max(1e-12));
+    }
     let breakdown = breakdown.expect("at least one recorded run");
-    let recorded_ratio = baseline_secs / recorded_secs.max(1e-12);
+    let recorded_secs = median(&recorded_walls);
+    let recorded_ratio = median(&pair_ratios);
     let events_per_sec = breakdown.events_emitted as f64 / recorded_secs.max(1e-12);
     let experiments_per_sec_recorded = baseline_experiments as f64 / recorded_secs.max(1e-12);
 
@@ -282,8 +329,13 @@ fn main() -> ExitCode {
         fmt(overhead_ms_per_task)
     );
     println!(
-        "  recorded fleet keeps {}× of unobserved throughput: {} events/s, {} experiments/s\n",
+        "  recorded fleet keeps {}× of unobserved throughput (median of {TAX_PAIRS} pairs: {}): {} events/s, {} experiments/s\n",
         fmt(recorded_ratio),
+        pair_ratios
+            .iter()
+            .map(|r| format!("{r:.3}"))
+            .collect::<Vec<_>>()
+            .join(", "),
         fmt(events_per_sec),
         fmt(experiments_per_sec_recorded),
     );
@@ -295,7 +347,7 @@ fn main() -> ExitCode {
     );
     gates.check(
         "recorded fleet report byte-identical to the unobserved one",
-        recorded_json == baseline_json,
+        recorded_identical,
     );
     if host_parallel {
         gates.check(
@@ -323,6 +375,7 @@ fn main() -> ExitCode {
         wall_secs: f64,
         unobserved_wall_secs: f64,
         ratio: f64,
+        pair_ratios: Vec<f64>,
         ratio_floor: f64,
         events_emitted: u64,
         batches_flushed: u64,
@@ -359,8 +412,9 @@ fn main() -> ExitCode {
         overhead_budget_ms: OVERHEAD_BUDGET_MS,
         recorded: Recorded {
             wall_secs: recorded_secs,
-            unobserved_wall_secs: baseline_secs,
+            unobserved_wall_secs: median(&unobserved_walls),
             ratio: recorded_ratio,
+            pair_ratios,
             ratio_floor: RECORDED_RATIO_FLOOR,
             events_emitted: breakdown.events_emitted,
             batches_flushed: breakdown.batches_flushed,

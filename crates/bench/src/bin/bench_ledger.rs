@@ -6,7 +6,10 @@
 //! 1. **Per-planner replay** — for every planner kind, a recorded
 //!    campaign's serialized ledger is byte-identical on rerun, and
 //!    `replay_ledger` rebuilds the live `CampaignReport` byte-for-byte
-//!    with identical provenance/knowledge counts. The same ledger encoded
+//!    with identical provenance/knowledge counts. The live counts come
+//!    from `LibrarianAgent`'s per-iteration constants and the replayed
+//!    ones from the stores `replay_ledger` builds, so this cross-checks
+//!    the constants against built stores. The same ledger encoded
 //!    as `EVWL` binary must stream-replay (`replay_ledger_bytes`) to the
 //!    identical report and decode back to the identical JSON bytes.
 //! 2. **Compression** — summed across all planner ledgers, the binary

@@ -30,6 +30,12 @@
 //! in task order) and refilled from a checkpoint by one resume handshake
 //! (lengths, then seeds, then report/ledger presence).
 //!
+//! The executor is generic over its task: the fleet replays
+//! ([`replay_fleet_ledger`](crate::replay_fleet_ledger) and
+//! [`replay_fleet_ledger_bytes`](crate::replay_fleet_ledger_bytes)) run
+//! it over recorded campaigns instead of configs, with the same
+//! guarantees — results in task order, whatever the worker count.
+//!
 //! Wall-clock timing deliberately lives *outside* [`FleetReport`]:
 //! callers time a run themselves, because a report that embedded its own
 //! elapsed time could never be byte-identical across thread counts.
@@ -389,9 +395,9 @@ impl<R> Drop for WorkerExit<'_, R> {
 }
 
 /// The fleet executor: run the tasks `tasks` (pairs of slot index +
-/// config) across `threads` workers with the task runner `run`,
-/// committing at most `commit_cap` results and handing each to
-/// `deliver`.
+/// task — a campaign config, or a recorded campaign to replay) across
+/// `threads` workers with the task runner `run`, committing at most
+/// `commit_cap` results and handing each to `deliver`.
 ///
 /// The cap models a coordinator crash: workers stop claiming once the
 /// fleet-wide commit counter reaches the cap, and a campaign that
@@ -411,8 +417,8 @@ impl<R> Drop for WorkerExit<'_, R> {
 ///
 /// A panicking task surfaces as a panic of this call once every worker
 /// has exited; results delivered before it stay delivered.
-pub(crate) fn execute_fleet_tasks_steal_timed<R, F, D>(
-    tasks: &[(usize, CampaignConfig)],
+pub(crate) fn execute_fleet_tasks_steal_timed<T, R, F, D>(
+    tasks: &[(usize, T)],
     threads: usize,
     commit_cap: Option<usize>,
     time_steals: bool,
@@ -420,8 +426,9 @@ pub(crate) fn execute_fleet_tasks_steal_timed<R, F, D>(
     mut deliver: D,
 ) -> StealStats
 where
+    T: Sync,
     R: Send,
-    F: Fn(&CampaignConfig) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
     D: FnMut(usize, R),
 {
     let cap = commit_cap.unwrap_or(usize::MAX);

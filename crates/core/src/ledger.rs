@@ -18,15 +18,19 @@
 //!   pushed to every observer as it happens; sinks never feed anything
 //!   back into the run, so observation cannot perturb determinism.
 //! * Shipped sinks: [`CampaignLedger`] (the durable stream itself),
-//!   [`KnowledgeSink`] (rebuilds the knowledge graph + PROV store from
-//!   events — the librarian's old in-line duty), [`MetricsSink`]
+//!   [`KnowledgeSink`] (logs the knowledge graph + PROV records the
+//!   events imply and builds those stores when they are read — the
+//!   librarian's old in-line duty), [`MetricsSink`]
 //!   (bridges events into an [`evoflow_sim`] [`MetricsRegistry`]), and
 //!   [`RingTelemetry`] (a bounded live-tail buffer for dashboards).
 //! * [`replay_ledger`] — the payoff: reconstructs a
 //!   [`CampaignReport`] *and* the provenance/knowledge stores purely
-//!   from the event stream, byte-identical to the live run's. The
-//!   ledger is therefore sufficient evidence for everything the report
-//!   claims — the audit + debugging substrate §4.2 calls for.
+//!   from the event stream; the report is byte-identical to the live
+//!   run's, and the stores are those the librarian builds from the same
+//!   records. The ledger is therefore sufficient evidence for everything
+//!   the report claims — the audit + debugging substrate §4.2 calls for.
+//!   [`replay_fleet_ledger`] folds a fleet's campaigns in parallel and
+//!   builds no stores.
 //!
 //! **Determinism contract.** Events are emitted at fixed points in the
 //! campaign loop and carry exact simulated times ([`SimTime`] /
@@ -50,9 +54,9 @@
 //! ```
 
 use crate::campaign::CampaignReport;
-use crate::fleet::FleetReport;
+use crate::fleet::{execute_fleet_tasks_steal_timed, worker_threads, FleetReport};
 use crate::service::RejectReason;
-use evoflow_agents::Candidate;
+use evoflow_agents::{Candidate, LibrarianAgent};
 use evoflow_cogsim::TokenUsage;
 use evoflow_knowledge::{KnowledgeGraph, ProvenanceStore};
 use evoflow_sim::{MetricsRegistry, SimDuration, SimTime};
@@ -577,50 +581,65 @@ impl FleetLedger {
     }
 }
 
-/// Rebuilds the knowledge graph and PROV provenance store from the event
-/// stream — the librarian's old in-line duty in `run_campaign`, now a
-/// sink like any other. Configures itself from
+/// Records the knowledge graph and PROV provenance store the event
+/// stream implies — the librarian's old in-line duty in `run_campaign`,
+/// now a sink like any other. Configures itself from
 /// [`CampaignEvent::CampaignStarted`] (threshold + whether recording is
-/// on), buffers proposals, and records one hypothesis → experiment →
-/// result chain per observed result.
+/// on), buffers proposals, and logs one hypothesis → experiment → result
+/// record per observed result.
+///
+/// The stores are built only when someone reads them: the sink keeps a
+/// log of what [`LibrarianAgent::record_iteration`] needs per record,
+/// derives its counts from the log's length and the librarian's
+/// per-iteration constants, and replays the log through
+/// `record_iteration`, in order, in [`into_stores`](Self::into_stores).
+/// A live campaign and a fleet replay only read the counts.
 #[derive(Debug, Default)]
 pub struct KnowledgeSink {
-    librarian: evoflow_agents::LibrarianAgent,
+    log: Vec<KnowledgeRecord>,
     pending: VecDeque<Candidate>,
     threshold: f64,
     enabled: bool,
+}
+
+/// One logged [`LibrarianAgent::record_iteration`] call.
+#[derive(Debug)]
+struct KnowledgeRecord {
+    candidate: Candidate,
+    score: f64,
+    usage: TokenUsage,
+    threshold: f64,
 }
 
 impl KnowledgeSink {
     /// A sink that waits for a `CampaignStarted` event to configure
     /// itself (disabled until then).
     pub fn new() -> Self {
-        KnowledgeSink {
-            librarian: evoflow_agents::LibrarianAgent::new(),
-            pending: VecDeque::new(),
-            threshold: 0.0,
-            enabled: false,
-        }
+        Self::default()
     }
 
     /// Knowledge-graph nodes recorded.
     pub fn node_count(&self) -> usize {
-        self.librarian.kg.node_count()
+        self.log.len() * LibrarianAgent::NODES_PER_ITERATION
     }
 
     /// Provenance activities recorded.
     pub fn activity_count(&self) -> usize {
-        self.librarian.prov.activity_count()
+        self.log.len() * LibrarianAgent::ACTIVITIES_PER_ITERATION
     }
 
     /// Provenance entities recorded.
     pub fn entity_count(&self) -> usize {
-        self.librarian.prov.entity_count()
+        self.log.len() * LibrarianAgent::ENTITIES_PER_ITERATION
     }
 
-    /// Consume the sink, yielding the rebuilt stores.
+    /// Consume the sink, building the stores from its log.
     pub fn into_stores(self) -> (KnowledgeGraph, ProvenanceStore) {
-        (self.librarian.kg, self.librarian.prov)
+        let mut librarian = LibrarianAgent::new();
+        for r in &self.log {
+            librarian.record_iteration(&r.candidate, r.score, r.usage, r.threshold);
+        }
+        (librarian.kg, librarian.prov)
     }
 }
 
@@ -658,16 +677,16 @@ impl LedgerObserver for KnowledgeSink {
                 // Proposals observe in FIFO order within an iteration;
                 // budget-capped tails never observe and are dropped at
                 // IterationEnded.
-                if let Some(c) = self.pending.pop_front() {
-                    self.librarian.record_iteration(
-                        &c,
-                        *score,
-                        TokenUsage {
+                if let Some(candidate) = self.pending.pop_front() {
+                    self.log.push(KnowledgeRecord {
+                        candidate,
+                        score: *score,
+                        usage: TokenUsage {
                             input_tokens: *tokens_in,
                             output_tokens: *tokens_out,
                         },
-                        self.threshold,
-                    );
+                        threshold: self.threshold,
+                    });
                 }
             }
             CampaignEvent::IterationEnded { .. } => self.pending.clear(),
@@ -915,9 +934,10 @@ pub fn replay_ledger(ledger: &CampaignLedger) -> Result<ReplayOutcome, ReplayErr
 /// aggregation [`replay_ledger`] performs, exposed event-at-a-time so
 /// the binary [wire](crate::ledger::wire) reader can replay a stream
 /// without ever materialising a `Vec<CampaignEvent>` — memory stays
-/// bounded by one decoded event plus the knowledge stores, however long
-/// the ledger. Float accumulation order is identical to the live loop's,
-/// so the finished report stays byte-identical either way.
+/// bounded by one decoded event plus the [`KnowledgeSink`]'s log,
+/// however long the ledger. Float accumulation order is identical to
+/// the live loop's, so the finished report stays byte-identical either
+/// way.
 #[derive(Debug)]
 pub(crate) struct ReplayFold {
     sink: KnowledgeSink,
@@ -1049,8 +1069,27 @@ impl ReplayFold {
         Ok(())
     }
 
-    /// Cross-check the recorded totals and yield the reconstruction.
+    /// Cross-check the recorded totals and yield the reconstruction,
+    /// stores included.
     pub(crate) fn finish(self) -> Result<ReplayOutcome, ReplayError> {
+        let (report, sink) = self.audit()?;
+        let (knowledge, provenance) = sink.into_stores();
+        Ok(ReplayOutcome {
+            report,
+            knowledge,
+            provenance,
+        })
+    }
+
+    /// Cross-check the recorded totals and yield the report alone; the
+    /// knowledge stores are never built.
+    pub(crate) fn finish_report(self) -> Result<CampaignReport, ReplayError> {
+        Ok(self.audit()?.0)
+    }
+
+    /// Cross-check the recorded totals; yield the report and the sink
+    /// that holds the knowledge log.
+    fn audit(self) -> Result<(CampaignReport, KnowledgeSink), ReplayError> {
         if self.index == 0 {
             return Err(ReplayError::Empty);
         }
@@ -1170,24 +1209,72 @@ impl ReplayFold {
             prov_activities: self.sink.activity_count(),
             tokens: self.tokens,
         };
-        let (knowledge, provenance) = self.sink.into_stores();
-        Ok(ReplayOutcome {
-            report,
-            knowledge,
-            provenance,
-        })
+        Ok((report, self.sink))
     }
 }
 
 /// Reconstruct a whole [`FleetReport`] from a fleet's merged ledger:
-/// replay every campaign stream in shard order and fold the reports with
-/// the same deterministic aggregation the live executor uses.
+/// replay every campaign stream and fold the reports, in shard order,
+/// with the same deterministic aggregation the live executor uses.
+///
+/// Campaigns fold in parallel on the fleet executor, one worker per host
+/// core; the result does not depend on the worker count. The knowledge
+/// stores are never built — each campaign's counts come from its
+/// [`KnowledgeSink`] log. If any campaign fails, the error is that of
+/// the first failing campaign in shard order.
 pub fn replay_fleet_ledger(ledger: &FleetLedger) -> Result<FleetReport, ReplayError> {
-    let mut reports = Vec::with_capacity(ledger.campaigns.len());
-    for campaign in &ledger.campaigns {
-        reports.push(replay_ledger(campaign)?.report);
+    replay_fleet_ledger_on(ledger, 0)
+}
+
+/// [`replay_fleet_ledger`] on `threads` workers (0 = one per host core).
+pub(crate) fn replay_fleet_ledger_on(
+    ledger: &FleetLedger,
+    threads: usize,
+) -> Result<FleetReport, ReplayError> {
+    fold_fleet(ledger.master_seed, &ledger.campaigns, threads, |c| {
+        let mut fold = ReplayFold::new();
+        for event in &c.events {
+            fold.push(event)?;
+        }
+        fold.finish_report()
+    })
+}
+
+/// The one fleet replay driver, under [`replay_fleet_ledger`] and
+/// [`replay_fleet_ledger_bytes`](wire::replay_fleet_ledger_bytes): fold
+/// every campaign with `fold` on the fleet executor with `threads`
+/// workers (0 = one per host core), then merge the reports in shard
+/// order. Every campaign is folded; the first failure in shard order —
+/// not the first in time — is the one returned, so the result is the
+/// serial fold's at any worker count.
+pub(crate) fn fold_fleet<T: Sync>(
+    master_seed: u64,
+    campaigns: &[T],
+    threads: usize,
+    fold: impl Fn(&T) -> Result<CampaignReport, ReplayError> + Sync,
+) -> Result<FleetReport, ReplayError> {
+    let tasks: Vec<(usize, &T)> = campaigns.iter().enumerate().collect();
+    let mut reports = Vec::with_capacity(tasks.len());
+    let mut failure = None;
+    execute_fleet_tasks_steal_timed(
+        &tasks,
+        worker_threads(threads, tasks.len()),
+        None,
+        false,
+        |campaign| fold(campaign),
+        // Delivery is in shard order, so the first error seen is the
+        // first in shard order.
+        |_, folded| match folded {
+            Ok(report) => reports.push(report),
+            Err(e) => {
+                failure.get_or_insert(e);
+            }
+        },
+    );
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(FleetReport::from_reports(master_seed, reports)),
     }
-    Ok(FleetReport::from_reports(ledger.master_seed, reports))
 }
 
 #[cfg(test)]
@@ -1384,5 +1471,147 @@ mod tests {
             total: 1
         }
         .is_campaign_scoped());
+    }
+
+    /// The eager librarian the sink's log must reproduce: the pairing
+    /// rule (FIFO proposals while recording, dropped at iteration end)
+    /// with every matched result recorded as it arrives.
+    fn eager_stores(events: &[CampaignEvent]) -> (KnowledgeGraph, ProvenanceStore) {
+        let mut librarian = LibrarianAgent::new();
+        let mut pending = VecDeque::new();
+        let (mut threshold, mut enabled) = (0.0, false);
+        for event in events {
+            match event {
+                CampaignEvent::CampaignStarted {
+                    threshold: t,
+                    records_knowledge,
+                    ..
+                } => {
+                    threshold = *t;
+                    enabled = *records_knowledge;
+                }
+                CampaignEvent::CandidateProposed {
+                    params,
+                    rationale,
+                    confidence,
+                    hallucinated,
+                    ..
+                } if enabled => pending.push_back(Candidate {
+                    params: params.clone(),
+                    rationale: rationale.clone(),
+                    confidence: *confidence,
+                    hallucinated: *hallucinated,
+                }),
+                CampaignEvent::ResultObserved {
+                    score,
+                    tokens_in,
+                    tokens_out,
+                    ..
+                } if enabled => {
+                    if let Some(c) = pending.pop_front() {
+                        let usage = TokenUsage {
+                            input_tokens: *tokens_in,
+                            output_tokens: *tokens_out,
+                        };
+                        librarian.record_iteration(&c, *score, usage, threshold);
+                    }
+                }
+                CampaignEvent::IterationEnded { .. } => pending.clear(),
+                _ => {}
+            }
+        }
+        (librarian.kg, librarian.prov)
+    }
+
+    /// The four event kinds the sink reads; proposals and results are
+    /// listed twice so streams hold more of them.
+    fn arb_sink_event() -> impl proptest::strategy::Strategy<Value = CampaignEvent> {
+        use proptest::prelude::*;
+        let started = (any::<bool>(), 0.0..1.0f64).prop_map(|(records_knowledge, threshold)| {
+            CampaignEvent::CampaignStarted {
+                cell_label: "prop".into(),
+                seed: 3,
+                planner: "agentic".into(),
+                lanes: 1,
+                horizon: SimDuration::from_days(1),
+                threshold,
+                max_experiments: 100,
+                records_knowledge,
+            }
+        });
+        let proposed = || {
+            (
+                prop::collection::vec(0.0..1.0f64, 1..4),
+                "[a-z ]{0,40}",
+                0.0..1.0f64,
+                any::<bool>(),
+            )
+                .prop_map(|(params, rationale, confidence, hallucinated)| {
+                    CampaignEvent::CandidateProposed {
+                        lane: 0,
+                        params,
+                        rationale: rationale.into(),
+                        confidence,
+                        hallucinated,
+                    }
+                })
+        };
+        let observed = || {
+            (0.0..1.0f64, 0u64..1_000, 0u64..1_000).prop_map(|(score, tokens_in, tokens_out)| {
+                CampaignEvent::ResultObserved {
+                    lane: 0,
+                    experiment: 1,
+                    score,
+                    hit: false,
+                    peak: None,
+                    tokens_in,
+                    tokens_out,
+                }
+            })
+        };
+        let ended = Just(CampaignEvent::IterationEnded {
+            lane: 0,
+            proposed: 1,
+            hits: 0,
+            tokens_total: 0,
+        });
+        prop_oneof![
+            started,
+            proposed(),
+            proposed(),
+            observed(),
+            observed(),
+            ended
+        ]
+    }
+
+    proptest::proptest! {
+        /// The sink's counts are those of the stores it builds, and those
+        /// stores are the ones an eager librarian builds from the same
+        /// matched pairs, by value and by serialized bytes.
+        #[test]
+        fn knowledge_sink_builds_the_eager_librarians_stores(
+            events in proptest::collection::vec(arb_sink_event(), 0..80)
+        ) {
+            let mut sink = KnowledgeSink::new();
+            sink.on_batch(&events);
+            let counts = (sink.node_count(), sink.activity_count(), sink.entity_count());
+            let (kg, prov) = sink.into_stores();
+            proptest::prop_assert_eq!(
+                counts,
+                (kg.node_count(), prov.activity_count(), prov.entity_count())
+            );
+            let (eager_kg, eager_prov) = eager_stores(&events);
+            proptest::prop_assert_eq!(
+                serde_json::to_string(&kg).expect("serializes"),
+                serde_json::to_string(&eager_kg).expect("serializes")
+            );
+            proptest::prop_assert_eq!(
+                serde_json::to_string(&prov).expect("serializes"),
+                serde_json::to_string(&eager_prov).expect("serializes")
+            );
+            proptest::prop_assert_eq!(kg, eager_kg);
+            proptest::prop_assert_eq!(prov, eager_prov);
+        }
     }
 }

@@ -282,8 +282,11 @@ impl std::error::Error for WireError {}
 
 // ---- primitives -------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `tables[0]` is the classic bytewise table, and
+/// `tables[k][b]` is the CRC register after byte `b` followed by `k`
+/// zero bytes, so eight table lookups advance the register by 8 bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -296,19 +299,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3, reflected). Detects every single-bit error.
+/// Eight bytes per step through [`CRC32_TABLES`]; the tail goes through
+/// the bytewise table.
 fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -412,7 +440,9 @@ impl<'a> Cursor<'a> {
 
     fn f64(&mut self) -> Result<f64, WireError> {
         let b = self.take(8)?;
-        Ok(f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
+        Ok(f64::from_bits(u64::from_le_bytes(
+            b.try_into().expect("take(8) returned 8 bytes"),
+        )))
     }
 
     fn bool(&mut self) -> Result<bool, WireError> {
@@ -429,7 +459,9 @@ impl<'a> Cursor<'a> {
 
     fn u32_le(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
+        Ok(u32::from_le_bytes(
+            b.try_into().expect("take(4) returned 4 bytes"),
+        ))
     }
 }
 
@@ -493,34 +525,47 @@ struct InternReader {
 
 impl InternReader {
     fn get(&mut self, cur: &mut Cursor<'_>) -> Result<String, WireError> {
+        let mut s = String::new();
+        self.append(cur, &mut s)?;
+        Ok(s)
+    }
+
+    /// Read one intern ref and append its string to `out`, claiming the
+    /// next table entry on first use.
+    fn append(&mut self, cur: &mut Cursor<'_>, out: &mut String) -> Result<(), WireError> {
         let id = cur.varint()?;
         if id == 0 {
             let len = cur.varint()? as usize;
             let bytes = cur.take(len)?;
             let s = std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)?;
+            out.push_str(s);
             self.table.push(s.to_string());
-            Ok(s.to_string())
         } else {
-            self.table
+            let s = self
+                .table
                 .get(id as usize - 1)
-                .cloned()
-                .ok_or(WireError::BadInternId { id })
+                .ok_or(WireError::BadInternId { id })?;
+            out.push_str(s);
         }
+        Ok(())
     }
 
     /// Decode a [`InternWriter::put_text`] field: flag 0 is a whole-string
-    /// intern ref, flag 1 a word count followed by interned words to
-    /// rejoin with single spaces.
+    /// intern ref, flag 1 a word count followed by interned words,
+    /// appended to one string with single spaces between them.
     fn get_text(&mut self, cur: &mut Cursor<'_>) -> Result<String, WireError> {
         match cur.u8()? {
             0 => self.get(cur),
             1 => {
-                let count = cur.varint()? as usize;
-                let mut words = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    words.push(self.get(cur)?);
+                let count = cur.varint()?;
+                let mut text = String::new();
+                for i in 0..count {
+                    if i > 0 {
+                        text.push(' ');
+                    }
+                    self.append(cur, &mut text)?;
                 }
-                Ok(words.join(" "))
+                Ok(text)
             }
             flag => Err(WireError::BadTextFlag { flag }),
         }
@@ -1217,7 +1262,7 @@ impl<'a> BodyReader<'a> {
         let stored = u32::from_le_bytes(
             self.cur.buf[payload_end..payload_end + 4]
                 .try_into()
-                .unwrap(),
+                .expect("a 4-byte range, checked against the buffer end above"),
         );
         if stored != expect {
             return Err(WireError::SegmentChecksum { segment: self.seg });
@@ -1259,7 +1304,11 @@ impl<'a> BodyReader<'a> {
         };
         let body = &self.cur.buf[self.cur.pos..body_end];
         self.fnv = fnv_absorb(self.fnv, body);
-        let stored = u16::from_le_bytes(self.cur.buf[body_end..body_end + 2].try_into().unwrap());
+        let stored = u16::from_le_bytes(
+            self.cur.buf[body_end..body_end + 2]
+                .try_into()
+                .expect("a 2-byte range, checked against the segment end above"),
+        );
         if stored != fnv_fold16(self.fnv) {
             return Err(WireError::RecordChecksum {
                 segment: self.seg,
@@ -1743,25 +1792,36 @@ pub fn replay_ledger_bytes(bytes: &[u8]) -> Result<ReplayOutcome, ReplayError> {
 /// Replay serialized fleet-ledger bytes directly: every campaign body
 /// streams through its own fold (never materialized), and the reports
 /// aggregate exactly as
-/// [`replay_fleet_ledger`](super::replay_fleet_ledger) does.
+/// [`replay_fleet_ledger`](super::replay_fleet_ledger) does — through
+/// the same driver, so campaign bodies fold in parallel, one worker per
+/// host core, no knowledge store is built, and a corrupt or tampered
+/// fleet is refused with the error of its first failing campaign in
+/// shard order.
 pub fn replay_fleet_ledger_bytes(bytes: &[u8]) -> Result<FleetReport, ReplayError> {
+    replay_fleet_ledger_bytes_on(bytes, 0)
+}
+
+/// [`replay_fleet_ledger_bytes`] on `threads` workers (0 = one per host
+/// core).
+pub(crate) fn replay_fleet_ledger_bytes_on(
+    bytes: &[u8],
+    threads: usize,
+) -> Result<FleetReport, ReplayError> {
     match LedgerEncoding::detect(bytes) {
         LedgerEncoding::Json => {
             let ledger = FleetLedger::from_bytes(bytes)?;
-            super::replay_fleet_ledger(&ledger)
+            super::replay_fleet_ledger_on(&ledger, threads)
         }
         LedgerEncoding::Binary => {
-            let (master_seed, slices) = fleet_body_slices(bytes).map_err(ReplayError::Corrupt)?;
-            let mut reports = Vec::with_capacity(slices.len());
-            for slice in slices {
-                let mut reader = BodyReader::new(slice).map_err(ReplayError::Corrupt)?;
+            let (master_seed, slices) = fleet_body_slices(bytes)?;
+            super::fold_fleet(master_seed, &slices, threads, |slice| {
+                let mut reader = BodyReader::new(slice)?;
                 let mut fold = ReplayFold::new();
-                while let Some(event) = reader.next_event().map_err(ReplayError::Corrupt)? {
+                while let Some(event) = reader.next_event()? {
                     fold.push(&event)?;
                 }
-                reports.push(fold.finish()?.report);
-            }
-            Ok(FleetReport::from_reports(master_seed, reports))
+                fold.finish_report()
+            })
         }
     }
 }
@@ -1875,6 +1935,28 @@ mod tests {
     fn crc32_matches_reference_vector() {
         // The classic IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The bytewise CRC-32 loop slicing-by-8 must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_slicing_by_8_matches_the_bytewise_loop() {
+        let mut rng = evoflow_sim::SimRng::from_seed_u64(0x00C3_C32C);
+        let buf: Vec<u8> = (0..(4 << 20) + 5).map(|_| rng.below(256) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
     }
 
     #[test]
@@ -2120,5 +2202,156 @@ mod tests {
             let bytes = fleet.to_bytes(enc);
             assert_eq!(FleetLedger::from_bytes(&bytes).unwrap(), fleet);
         }
+    }
+
+    /// The worker counts every fleet-replay test folds at.
+    const THREADS: [usize; 3] = [1, 2, 4];
+
+    /// Record a fleet of `campaigns` small campaigns cycling agentic,
+    /// ensemble (both record knowledge) and Learning-level (which does
+    /// not) cells.
+    fn mixed_fleet(
+        campaigns: usize,
+        horizon: SimDuration,
+        max_experiments: u64,
+    ) -> (FleetReport, FleetLedger) {
+        use crate::{run_campaign_fleet_recorded, CampaignConfig, Cell, PlannerKind};
+        use evoflow_agents::Pattern;
+        use evoflow_sm::IntelligenceLevel;
+        let space = MaterialsSpace::generate(3, 8, 20261017);
+        let mut cfg = FleetConfig::new(4242);
+        cfg.threads = 1;
+        for i in 0..campaigns {
+            let mut c = match i % 3 {
+                0 => CampaignConfig::for_cell(
+                    Cell::new(IntelligenceLevel::Intelligent, Pattern::Mesh),
+                    0,
+                )
+                .with_planner(PlannerKind::Agentic),
+                1 => CampaignConfig::for_cell(
+                    Cell::new(IntelligenceLevel::Intelligent, Pattern::Mesh),
+                    0,
+                )
+                .with_planner(PlannerKind::ensemble()),
+                _ => CampaignConfig::for_cell(
+                    Cell::new(IntelligenceLevel::Learning, Pattern::Mesh),
+                    0,
+                ),
+            };
+            c.horizon = horizon;
+            c.max_experiments = max_experiments;
+            cfg.push_campaign(c);
+        }
+        run_campaign_fleet_recorded(&space, &cfg)
+    }
+
+    /// The serial fleet replay, kept as the oracle: fold campaigns one
+    /// after another and stop at the first failure.
+    fn serial_fleet_replay(bytes: &[u8]) -> Result<FleetReport, ReplayError> {
+        let mut reports = Vec::new();
+        let master_seed = match LedgerEncoding::detect(bytes) {
+            LedgerEncoding::Json => {
+                let ledger = FleetLedger::from_bytes(bytes)?;
+                for campaign in &ledger.campaigns {
+                    reports.push(super::super::replay_ledger(campaign)?.report);
+                }
+                ledger.master_seed
+            }
+            LedgerEncoding::Binary => {
+                let (master_seed, slices) = fleet_body_slices(bytes)?;
+                for slice in slices {
+                    let mut reader = BodyReader::new(slice)?;
+                    let mut fold = ReplayFold::new();
+                    while let Some(event) = reader.next_event()? {
+                        fold.push(&event)?;
+                    }
+                    reports.push(fold.finish()?.report);
+                }
+                master_seed
+            }
+        };
+        Ok(FleetReport::from_reports(master_seed, reports))
+    }
+
+    #[test]
+    fn fleet_replays_equal_the_serial_fold_at_any_thread_count() {
+        let (live, ledger) = mixed_fleet(9, SimDuration::from_hours(12), 1_000);
+        assert!(live.reports.iter().any(|r| r.kg_nodes > 0));
+        assert!(live.reports.iter().any(|r| r.kg_nodes == 0));
+        let serial = FleetReport::from_reports(
+            ledger.master_seed,
+            ledger
+                .campaigns
+                .iter()
+                .map(|c| super::super::replay_ledger(c).expect("replays").report)
+                .collect(),
+        );
+        assert_eq!(serial, live);
+        let binary = ledger.to_bytes(LedgerEncoding::Binary);
+        let json = ledger.to_bytes(LedgerEncoding::Json);
+        for threads in THREADS {
+            let folded = super::super::replay_fleet_ledger_on(&ledger, threads);
+            assert_eq!(folded.as_ref(), Ok(&serial), "{threads} threads");
+            for bytes in [&binary, &json] {
+                let folded = replay_fleet_ledger_bytes_on(bytes, threads);
+                assert_eq!(folded.as_ref(), Ok(&serial), "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_fleet_bytes_fail_alike_at_any_thread_count() {
+        let (_, ledger) = mixed_fleet(3, SimDuration::from_hours(1), 4);
+        let bytes = ledger.to_bytes(LedgerEncoding::Binary);
+        let same_at_every_count = |bytes: &[u8], what: &str| {
+            let expected = serial_fleet_replay(bytes);
+            for threads in THREADS {
+                assert_eq!(
+                    replay_fleet_ledger_bytes_on(bytes, threads),
+                    expected,
+                    "{what} at {threads} threads"
+                );
+            }
+            expected
+        };
+        assert!(same_at_every_count(&bytes, "intact").is_ok());
+        let mut refused = 0;
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0xFF;
+            refused += same_at_every_count(&flipped, &format!("flip at {at}")).is_err() as usize;
+        }
+        assert_eq!(refused, bytes.len(), "every byte is under a checksum");
+        for len in 0..bytes.len() {
+            let cut = same_at_every_count(&bytes[..len], &format!("truncation to {len}"));
+            assert!(cut.is_err());
+        }
+
+        // Two corrupt campaigns: the first in shard order fails only at
+        // its last byte, the last fails at its first. Whichever finishes
+        // first in time, the error is the first campaign's.
+        let (_, slices) = fleet_body_slices(&bytes).expect("intact");
+        let offset = |s: &[u8]| s.as_ptr() as usize - bytes.as_ptr() as usize;
+        let first_end = offset(slices[0]) + slices[0].len() - 1;
+        let last_start = offset(slices[2]);
+        let mut both = bytes.clone();
+        both[first_end] ^= 0xFF;
+        both[last_start] ^= 0xFF;
+        let mut only_first = bytes.clone();
+        only_first[first_end] ^= 0xFF;
+        let expected = serial_fleet_replay(&only_first);
+        assert!(expected.is_err());
+        assert_ne!(
+            expected,
+            serial_fleet_replay(&{
+                let mut only_last = bytes.clone();
+                only_last[last_start] ^= 0xFF;
+                only_last
+            })
+        );
+        assert_eq!(
+            same_at_every_count(&both, "two corrupt campaigns"),
+            expected
+        );
     }
 }
