@@ -35,7 +35,7 @@
 //! host timings it was judged on; the summary is therefore the one
 //! bench artifact that differs between runs.
 
-use evoflow_bench::{fmt, print_table, write_bench_summary, Gates};
+use evoflow_bench::{alternating_pairs, fmt, median, print_table, write_bench_summary, Gates};
 use evoflow_core::{
     run_campaign_fleet, run_campaign_fleet_profiled, Cell, FleetConfig, MaterialsSpace,
 };
@@ -145,17 +145,6 @@ fn min_secs(mut f: impl FnMut() -> f64) -> f64 {
     (0..REPS).map(|_| f()).fold(f64::INFINITY, f64::min)
 }
 
-fn median(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
 fn main() -> ExitCode {
     let space = MaterialsSpace::generate(3, 8, 555);
     let campaigns = 12usize;
@@ -259,10 +248,6 @@ fn main() -> ExitCode {
     // Back-to-back pairs at one thread, alternating which side runs
     // first; each pair's ratio sees one host speed.
     let serial_cfg = build_fleet(campaigns, 1);
-    let mut recorded_identical = true;
-    let mut breakdown = None;
-    let (mut unobserved_walls, mut recorded_walls, mut pair_ratios) =
-        (Vec::new(), Vec::new(), Vec::new());
     let unobserved = || {
         let started = Instant::now();
         let report = run_campaign_fleet(&space, &serial_cfg);
@@ -279,21 +264,17 @@ fn main() -> ExitCode {
         let json = serde_json::to_string(&report).expect("report serializes");
         (wall, json, prof)
     };
-    for pair in 0..TAX_PAIRS {
-        let ((u, u_json), (r, r_json, prof)) = if pair % 2 == 0 {
-            let u = unobserved();
-            (u, recorded())
-        } else {
-            let r = recorded();
-            (unobserved(), r)
-        };
-        recorded_identical &= u_json == baseline_json && r_json == baseline_json;
-        breakdown = Some(prof);
-        unobserved_walls.push(u);
-        recorded_walls.push(r);
-        pair_ratios.push(u / r.max(1e-12));
-    }
-    let breakdown = breakdown.expect("at least one recorded run");
+    let pairs = alternating_pairs(TAX_PAIRS, unobserved, recorded);
+    let recorded_identical = pairs
+        .iter()
+        .all(|((_, u_json), (_, r_json, _))| *u_json == baseline_json && *r_json == baseline_json);
+    let unobserved_walls: Vec<f64> = pairs.iter().map(|((u, _), _)| *u).collect();
+    let recorded_walls: Vec<f64> = pairs.iter().map(|(_, (r, _, _))| *r).collect();
+    let pair_ratios: Vec<f64> = pairs
+        .iter()
+        .map(|((u, _), (r, _, _))| u / r.max(1e-12))
+        .collect();
+    let (_, (_, _, breakdown)) = pairs.last().expect("at least one recorded run");
     let recorded_secs = median(&recorded_walls);
     let recorded_ratio = median(&pair_ratios);
     let events_per_sec = breakdown.events_emitted as f64 / recorded_secs.max(1e-12);

@@ -154,6 +154,41 @@ pub fn write_artifact(name: &str, bytes: impl AsRef<[u8]>) {
     }
 }
 
+/// Median of `xs`; the mean of the middle two for an even count.
+pub fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Run `pairs` back-to-back pairs of two measurements and return them
+/// as `(a, b)`. Which side goes first alternates (`a` in even pairs, `b`
+/// in odd ones), so a pair's two sides see one host speed and neither
+/// side always runs warm: a wall-clock gate on the median per-pair ratio
+/// does not flake with host-speed drift.
+pub fn alternating_pairs<A, B>(
+    pairs: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> Vec<(A, B)> {
+    (0..pairs)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let first = a();
+                (first, b())
+            } else {
+                let first = b();
+                (a(), first)
+            }
+        })
+        .collect()
+}
+
 /// Format a float compactly for table cells.
 pub fn fmt(x: f64) -> String {
     if x == 0.0 {
@@ -177,6 +212,32 @@ mod tests {
         assert_eq!(fmt(12345.6), "12346");
         assert_eq!(fmt(42.42), "42.4");
         assert_eq!(fmt(0.1234), "0.123");
+    }
+
+    #[test]
+    fn median_of_odd_and_even_counts() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&[7.0]), 7.0);
+    }
+
+    #[test]
+    fn alternating_pairs_switch_which_side_runs_first() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let pairs = alternating_pairs(
+            4,
+            || {
+                order.borrow_mut().push('a');
+                order.borrow().len()
+            },
+            || {
+                order.borrow_mut().push('b');
+                order.borrow().len()
+            },
+        );
+        assert_eq!(order.into_inner(), ['a', 'b', 'b', 'a', 'a', 'b', 'b', 'a']);
+        // Each pair is returned as (a, b) whichever ran first.
+        assert_eq!(pairs, [(1, 2), (4, 3), (5, 6), (8, 7)]);
     }
 
     #[test]

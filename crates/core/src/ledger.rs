@@ -353,64 +353,9 @@ pub enum CampaignEvent {
     },
 }
 
+// `kind` and `metric_key` are generated, with the wire codec, from the
+// record layout table in `ledger/wire.rs`.
 impl CampaignEvent {
-    /// Short stable tag for this event's variant (metrics keys, errors).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CampaignEvent::CampaignStarted { .. } => "campaign-started",
-            CampaignEvent::IterationStarted { .. } => "iteration-started",
-            CampaignEvent::CandidateProposed { .. } => "candidate-proposed",
-            CampaignEvent::ExecutionScheduled { .. } => "execution-scheduled",
-            CampaignEvent::ResultObserved { .. } => "result-observed",
-            CampaignEvent::GateDecision { .. } => "gate-decision",
-            CampaignEvent::OmegaRewrite { .. } => "omega-rewrite",
-            CampaignEvent::IterationEnded { .. } => "iteration-ended",
-            CampaignEvent::CampaignFinished { .. } => "campaign-finished",
-            CampaignEvent::CheckpointTaken { .. } => "checkpoint-taken",
-            CampaignEvent::CoordinatorKilled { .. } => "coordinator-killed",
-            CampaignEvent::CampaignPlaced { .. } => "campaign-placed",
-            CampaignEvent::DataTransferred { .. } => "data-transferred",
-            CampaignEvent::OutageStruck { .. } => "outage-struck",
-            CampaignEvent::SubmissionAdmitted { .. } => "submission-admitted",
-            CampaignEvent::SubmissionRejected { .. } => "submission-rejected",
-            CampaignEvent::CampaignDispatched { .. } => "campaign-dispatched",
-            CampaignEvent::EnsembleMessage { .. } => "ensemble-message",
-            CampaignEvent::TournamentMatch { .. } => "tournament-match",
-            CampaignEvent::MetaReview { .. } => "meta-review",
-        }
-    }
-
-    /// Precomputed `ledger.`-prefixed metrics key for this variant.
-    ///
-    /// [`MetricsSink`] bumps one counter per event; building the key with
-    /// `format!("ledger.{}", kind)` allocated a fresh `String` on every
-    /// event in the recording hot loop. These are the same keys, interned
-    /// at compile time.
-    pub fn metric_key(&self) -> &'static str {
-        match self {
-            CampaignEvent::CampaignStarted { .. } => "ledger.campaign-started",
-            CampaignEvent::IterationStarted { .. } => "ledger.iteration-started",
-            CampaignEvent::CandidateProposed { .. } => "ledger.candidate-proposed",
-            CampaignEvent::ExecutionScheduled { .. } => "ledger.execution-scheduled",
-            CampaignEvent::ResultObserved { .. } => "ledger.result-observed",
-            CampaignEvent::GateDecision { .. } => "ledger.gate-decision",
-            CampaignEvent::OmegaRewrite { .. } => "ledger.omega-rewrite",
-            CampaignEvent::IterationEnded { .. } => "ledger.iteration-ended",
-            CampaignEvent::CampaignFinished { .. } => "ledger.campaign-finished",
-            CampaignEvent::CheckpointTaken { .. } => "ledger.checkpoint-taken",
-            CampaignEvent::CoordinatorKilled { .. } => "ledger.coordinator-killed",
-            CampaignEvent::CampaignPlaced { .. } => "ledger.campaign-placed",
-            CampaignEvent::DataTransferred { .. } => "ledger.data-transferred",
-            CampaignEvent::OutageStruck { .. } => "ledger.outage-struck",
-            CampaignEvent::SubmissionAdmitted { .. } => "ledger.submission-admitted",
-            CampaignEvent::SubmissionRejected { .. } => "ledger.submission-rejected",
-            CampaignEvent::CampaignDispatched { .. } => "ledger.campaign-dispatched",
-            CampaignEvent::EnsembleMessage { .. } => "ledger.ensemble-message",
-            CampaignEvent::TournamentMatch { .. } => "ledger.tournament-match",
-            CampaignEvent::MetaReview { .. } => "ledger.meta-review",
-        }
-    }
-
     /// Whether the variant belongs to the campaign discovery loop (the
     /// only variants allowed inside a [`CampaignLedger`] being replayed).
     pub fn is_campaign_scoped(&self) -> bool {

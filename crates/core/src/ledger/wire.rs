@@ -40,6 +40,11 @@
 //! varint body_len · body (tag u8 + fields) · u16 fnv-fold
 //! ```
 //!
+//! Each tag's fields in wire order, and a committed `CampaignReport`'s
+//! (in container sections), are stated once: in the `wire_layouts!`
+//! table in this file's source, which generates the encoder, the decoder
+//! and [`CampaignEvent::kind`], and which freezes every tag.
+//!
 //! The fold is the low 16 bits of an xor-folded FNV-1a64 state that
 //! **chains across records** — record *n*'s fold commits to every byte
 //! of records `0..=n`, so an edit anywhere poisons all later folds too.
@@ -82,6 +87,7 @@ use crate::service::{
     ServiceResumeError,
 };
 use crate::MaterialsSpace;
+use evoflow_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -150,7 +156,8 @@ pub enum WireError {
         /// Byte offset at which input ran out.
         at: usize,
     },
-    /// A varint ran past 10 bytes (no valid u64 does).
+    /// A varint ran past 10 bytes (no valid u64 does), or exceeds its
+    /// field's width.
     VarintOverflow {
         /// Byte offset of the offending varint.
         at: usize,
@@ -371,22 +378,12 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_f64(out, x);
-        }
-    }
+/// Append a container's CRC32-sealed scalar section:
+/// `varint len · section · crc32(section)`.
+fn put_section(out: &mut Vec<u8>, section: &[u8]) {
+    put_varint(out, section.len() as u64);
+    out.extend_from_slice(section);
+    out.extend_from_slice(&crc32(section).to_le_bytes());
 }
 
 /// Byte cursor over a slice; every read is bounds-checked into a typed
@@ -438,23 +435,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn f64(&mut self) -> Result<f64, WireError> {
-        let b = self.take(8)?;
-        Ok(f64::from_bits(u64::from_le_bytes(
-            b.try_into().expect("take(8) returned 8 bytes"),
-        )))
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
-        if self.u8()? == 0 {
-            Ok(None)
-        } else {
-            Ok(Some(self.f64()?))
-        }
+    /// A varint that must fit `T`: a wider value is refused, never
+    /// truncated.
+    fn narrow<T: TryFrom<u64>>(&mut self) -> Result<T, WireError> {
+        let at = self.pos;
+        T::try_from(self.varint()?).map_err(|_| WireError::VarintOverflow { at })
     }
 
     fn u32_le(&mut self) -> Result<u32, WireError> {
@@ -462,6 +447,25 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(
             b.try_into().expect("take(4) returned 4 bytes"),
         ))
+    }
+
+    /// Open the section [`put_section`] wrote, checksum verified, as a
+    /// cursor of its own.
+    fn take_section(&mut self) -> Result<Cursor<'a>, WireError> {
+        let len = self.narrow()?;
+        let section = self.take(len)?;
+        if self.u32_le()? != crc32(section) {
+            return Err(WireError::SectionChecksum);
+        }
+        Ok(Cursor::new(section))
+    }
+
+    /// Refuse any byte left after the last declared structure.
+    fn end(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(WireError::TrailingBytes { at: self.pos }),
+        }
     }
 }
 
@@ -572,448 +576,337 @@ impl InternReader {
     }
 }
 
-// ---- event codec ------------------------------------------------------------
+// ---- field codecs -----------------------------------------------------------
 
-fn reason_code(r: RejectReason) -> u8 {
-    match r {
-        RejectReason::UnknownTenant => 0,
-        RejectReason::QueueFull => 1,
-        RejectReason::AdmissionCapExhausted => 2,
+/// The wire codec of one Rust field type. Every record layout is a
+/// sequence of these (see `wire_layouts!` below).
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter);
+    fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError>;
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+        put_varint(out, *self);
+    }
+    fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+        cur.varint()
     }
 }
 
-fn reason_from_code(code: u8) -> Result<RejectReason, WireError> {
-    match code {
-        0 => Ok(RejectReason::UnknownTenant),
-        1 => Ok(RejectReason::QueueFull),
-        2 => Ok(RejectReason::AdmissionCapExhausted),
-        _ => Err(WireError::BadReason { code }),
-    }
-}
-
-/// Tags are the declaration order of [`CampaignEvent`]'s variants and
-/// are frozen: new variants append, existing tags never renumber.
-fn encode_event(out: &mut Vec<u8>, strings: &mut InternWriter, event: &CampaignEvent) {
-    match event {
-        CampaignEvent::CampaignStarted {
-            cell_label,
-            seed,
-            planner,
-            lanes,
-            horizon,
-            threshold,
-            max_experiments,
-            records_knowledge,
-        } => {
-            out.push(0);
-            strings.put(out, cell_label);
-            put_varint(out, *seed);
-            strings.put(out, planner);
-            put_varint(out, *lanes as u64);
-            put_varint(out, horizon.as_nanos());
-            put_f64(out, *threshold);
-            put_varint(out, *max_experiments);
-            put_bool(out, *records_knowledge);
-        }
-        CampaignEvent::IterationStarted {
-            lane,
-            at,
-            decision_ready,
-        } => {
-            out.push(1);
-            put_varint(out, *lane as u64);
-            put_varint(out, at.as_nanos());
-            put_varint(out, decision_ready.as_nanos());
-        }
-        CampaignEvent::CandidateProposed {
-            lane,
-            params,
-            rationale,
-            confidence,
-            hallucinated,
-        } => {
-            out.push(2);
-            put_varint(out, *lane as u64);
-            put_varint(out, params.len() as u64);
-            for p in params {
-                put_f64(out, *p);
+/// Narrow integers are varints too; a value wider than the field is
+/// refused as [`WireError::VarintOverflow`].
+macro_rules! narrow_varint_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+                put_varint(out, *self as u64);
             }
-            strings.put_text(out, rationale);
-            put_f64(out, *confidence);
-            put_bool(out, *hallucinated);
+            fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+                cur.narrow()
+            }
         }
-        CampaignEvent::ExecutionScheduled {
-            lane,
-            batch,
-            duration,
-            done_at,
-        } => {
-            out.push(3);
-            put_varint(out, *lane as u64);
-            put_varint(out, *batch as u64);
-            put_varint(out, duration.as_nanos());
-            put_varint(out, done_at.as_nanos());
+    )*};
+}
+
+narrow_varint_fields!(u32, usize);
+
+/// Eight little-endian bytes of the bit pattern: bit-exact round trip.
+impl Field for f64 {
+    fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+        let b = cur.take(8)?;
+        Ok(f64::from_bits(u64::from_le_bytes(
+            b.try_into().expect("take(8) returned 8 bytes"),
+        )))
+    }
+}
+
+/// One byte; any non-zero byte reads as `true`.
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+        out.push(u8::from(*self));
+    }
+    fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+        Ok(cur.u8()? != 0)
+    }
+}
+
+/// Field types whose `Option` is a flag byte (0 absent, any other byte
+/// present) followed by the value.
+trait Flagged: Field {}
+
+impl Flagged for f64 {}
+impl Flagged for CampaignReport {}
+
+impl<T: Flagged> Field for Option<T> {
+    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out, strings);
+            }
         }
-        CampaignEvent::ResultObserved {
-            lane,
-            experiment,
-            score,
-            hit,
-            peak,
-            tokens_in,
-            tokens_out,
-        } => {
-            out.push(4);
-            put_varint(out, *lane as u64);
-            put_varint(out, *experiment);
-            put_f64(out, *score);
-            put_bool(out, *hit);
-            put_varint(out, peak.map_or(0, |p| p as u64 + 1));
-            put_varint(out, *tokens_in);
-            put_varint(out, *tokens_out);
+    }
+    fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
+        Ok(match cur.u8()? {
+            0 => None,
+            _ => Some(T::get(cur, strings)?),
+        })
+    }
+}
+
+/// A plus-one varint: 0 is `None`, `n + 1` is `Some(n)`.
+impl Field for Option<usize> {
+    fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+        put_varint(out, self.map_or(0, |v| v as u64 + 1));
+    }
+    fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+        Ok(match cur.narrow::<usize>()? {
+            0 => None,
+            v => Some(v - 1),
+        })
+    }
+}
+
+/// Sim clocks are varint nanoseconds.
+impl Field for SimTime {
+    fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+        put_varint(out, self.as_nanos());
+    }
+    fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+        Ok(SimTime::from_nanos(cur.varint()?))
+    }
+}
+
+impl Field for SimDuration {
+    fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+        put_varint(out, self.as_nanos());
+    }
+    fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+        Ok(SimDuration::from_nanos(cur.varint()?))
+    }
+}
+
+/// Strings are interned (tokenized text is marked in the table instead).
+impl Field for Cow<'static, str> {
+    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+        strings.put(out, self);
+    }
+    fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
+        Ok(Cow::Owned(strings.get(cur)?))
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+        strings.put(out, self);
+    }
+    fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
+        strings.get(cur)
+    }
+}
+
+/// A varint count, then each element.
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+        put_varint(out, self.len() as u64);
+        for v in self {
+            v.put(out, strings);
         }
-        CampaignEvent::GateDecision {
-            lane,
-            rejected_total,
-        } => {
-            out.push(5);
-            put_varint(out, *lane as u64);
-            put_varint(out, *rejected_total);
+    }
+    fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
+        let n: usize = cur.narrow()?;
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(T::get(cur, strings)?);
         }
-        CampaignEvent::OmegaRewrite {
-            lane,
-            rewrites_total,
-        } => {
-            out.push(6);
-            put_varint(out, *lane as u64);
-            put_varint(out, u64::from(*rewrites_total));
-        }
-        CampaignEvent::IterationEnded {
-            lane,
-            proposed,
-            hits,
-            tokens_total,
-        } => {
-            out.push(7);
-            put_varint(out, *lane as u64);
-            put_varint(out, *proposed as u64);
-            put_varint(out, *hits);
-            put_varint(out, *tokens_total);
-        }
-        CampaignEvent::CampaignFinished {
-            experiments,
-            total_hits,
-            distinct_discoveries,
-            best_score,
-            time_to_first_hours,
-            decision_wait_hours,
-            execution_hours,
-            rejected_proposals,
-            omega_rewrites,
-            kg_nodes,
-            prov_activities,
-            tokens,
-        } => {
-            out.push(8);
-            put_varint(out, *experiments);
-            put_varint(out, *total_hits);
-            put_varint(out, *distinct_discoveries as u64);
-            put_f64(out, *best_score);
-            put_opt_f64(out, *time_to_first_hours);
-            put_f64(out, *decision_wait_hours);
-            put_f64(out, *execution_hours);
-            put_varint(out, *rejected_proposals);
-            put_varint(out, u64::from(*omega_rewrites));
-            put_varint(out, *kg_nodes as u64);
-            put_varint(out, *prov_activities as u64);
-            put_varint(out, *tokens);
-        }
-        CampaignEvent::CheckpointTaken { committed, total } => {
-            out.push(9);
-            put_varint(out, *committed as u64);
-            put_varint(out, *total as u64);
-        }
-        CampaignEvent::CoordinatorKilled { after_commits } => {
-            out.push(10);
-            put_varint(out, *after_commits as u64);
-        }
-        CampaignEvent::CampaignPlaced {
-            campaign,
-            facility,
-            nodes,
-            arrival,
-            evacuation,
-        } => {
-            out.push(11);
-            put_varint(out, *campaign as u64);
-            strings.put(out, facility);
-            put_varint(out, *nodes);
-            put_varint(out, arrival.as_nanos());
-            put_bool(out, *evacuation);
-        }
-        CampaignEvent::DataTransferred {
-            campaign,
-            from,
-            to,
-            gigabytes,
-            duration,
-            evacuation,
-        } => {
-            out.push(12);
-            put_varint(out, *campaign as u64);
-            strings.put(out, from);
-            strings.put(out, to);
-            put_f64(out, *gigabytes);
-            put_varint(out, duration.as_nanos());
-            put_bool(out, *evacuation);
-        }
-        CampaignEvent::OutageStruck { site, at, rerouted } => {
-            out.push(13);
-            strings.put(out, site);
-            put_varint(out, at.as_nanos());
-            put_varint(out, *rerouted as u64);
-        }
-        CampaignEvent::SubmissionAdmitted {
-            tenant,
-            admission_index,
-            round,
-        } => {
-            out.push(14);
-            strings.put(out, tenant);
-            put_varint(out, *admission_index as u64);
-            put_varint(out, *round as u64);
-        }
-        CampaignEvent::SubmissionRejected {
-            tenant,
-            submission_index,
-            round,
-            reason,
-        } => {
-            out.push(15);
-            strings.put(out, tenant);
-            put_varint(out, *submission_index as u64);
-            put_varint(out, *round as u64);
-            out.push(reason_code(*reason));
-        }
-        CampaignEvent::CampaignDispatched {
-            tenant,
-            admission_index,
-            round,
-            slot,
-        } => {
-            out.push(16);
-            strings.put(out, tenant);
-            put_varint(out, *admission_index as u64);
-            put_varint(out, *round as u64);
-            put_varint(out, *slot as u64);
-        }
-        CampaignEvent::EnsembleMessage {
-            lane,
-            round,
-            performative,
-            sender,
-            receiver,
-            conversation,
-            frame_bytes,
-        } => {
-            out.push(17);
-            put_varint(out, *lane as u64);
-            put_varint(out, *round);
-            strings.put(out, performative);
-            strings.put(out, sender);
-            strings.put(out, receiver);
-            put_varint(out, *conversation);
-            put_varint(out, *frame_bytes);
-        }
-        CampaignEvent::TournamentMatch {
-            lane,
-            round,
-            left,
-            right,
-            winner,
-            margin,
-        } => {
-            out.push(18);
-            put_varint(out, *lane as u64);
-            put_varint(out, *round);
-            put_varint(out, *left as u64);
-            put_varint(out, *right as u64);
-            put_varint(out, *winner as u64);
-            put_f64(out, *margin);
-        }
-        CampaignEvent::MetaReview {
-            lane,
-            round,
-            generator_weight,
-            evolver_weight,
-            critiques,
-        } => {
-            out.push(19);
-            put_varint(out, *lane as u64);
-            put_varint(out, *round);
-            put_f64(out, *generator_weight);
-            put_f64(out, *evolver_weight);
-            put_varint(out, *critiques);
+        Ok(items)
+    }
+}
+
+/// One code byte per reason (frozen).
+impl Field for RejectReason {
+    fn put(&self, out: &mut Vec<u8>, _: &mut InternWriter) {
+        out.push(match self {
+            RejectReason::UnknownTenant => 0,
+            RejectReason::QueueFull => 1,
+            RejectReason::AdmissionCapExhausted => 2,
+        });
+    }
+    fn get(cur: &mut Cursor<'_>, _: &mut InternReader) -> Result<Self, WireError> {
+        match cur.u8()? {
+            0 => Ok(RejectReason::UnknownTenant),
+            1 => Ok(RejectReason::QueueFull),
+            2 => Ok(RejectReason::AdmissionCapExhausted),
+            code => Err(WireError::BadReason { code }),
         }
     }
 }
 
-fn decode_event(
-    cur: &mut Cursor<'_>,
-    strings: &mut InternReader,
-) -> Result<CampaignEvent, WireError> {
-    let tag = cur.u8()?;
-    let owned = |s: String| -> Cow<'static, str> { Cow::Owned(s) };
-    Ok(match tag {
-        0 => CampaignEvent::CampaignStarted {
-            cell_label: owned(strings.get(cur)?),
-            seed: cur.varint()?,
-            planner: owned(strings.get(cur)?),
-            lanes: cur.varint()? as usize,
-            horizon: evoflow_sim::SimDuration::from_nanos(cur.varint()?),
-            threshold: cur.f64()?,
-            max_experiments: cur.varint()?,
-            records_knowledge: cur.bool()?,
-        },
-        1 => CampaignEvent::IterationStarted {
-            lane: cur.varint()? as usize,
-            at: evoflow_sim::SimTime::from_nanos(cur.varint()?),
-            decision_ready: evoflow_sim::SimTime::from_nanos(cur.varint()?),
-        },
-        2 => {
-            let lane = cur.varint()? as usize;
-            let n = cur.varint()? as usize;
-            let mut params = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                params.push(cur.f64()?);
+// ---- record layouts ---------------------------------------------------------
+
+/// One field through its type's codec, or through the tokenized free-text
+/// codec when the table marks it `text`.
+macro_rules! put_field {
+    ($v:expr, $out:ident, $strings:ident) => {
+        $v.put($out, $strings)
+    };
+    ($v:expr, $out:ident, $strings:ident, text) => {
+        $strings.put_text($out, $v)
+    };
+}
+
+macro_rules! get_field {
+    ($cur:ident, $strings:ident) => {
+        Field::get($cur, $strings)?
+    };
+    ($cur:ident, $strings:ident, text) => {
+        Cow::Owned($strings.get_text($cur)?)
+    };
+}
+
+/// Generates, from the table below, `CampaignReport`'s [`Field`] codec,
+/// `encode_event`, `decode_event`, [`CampaignEvent::kind`] and
+/// [`CampaignEvent::metric_key`]. The generated matches and struct
+/// patterns name every variant and every field, so a variant or a field
+/// missing from the table does not compile.
+macro_rules! wire_layouts {
+    (
+        CampaignReport { $($rf:ident),* $(,)? }
+        $($tag:literal $kind:literal $variant:ident { $($f:ident $(: $codec:ident)?),* $(,)? })*
+    ) => {
+        impl Field for CampaignReport {
+            fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+                let CampaignReport { $($rf),* } = self;
+                $($rf.put(out, strings);)*
             }
-            CampaignEvent::CandidateProposed {
-                lane,
-                params,
-                rationale: owned(strings.get_text(cur)?),
-                confidence: cur.f64()?,
-                hallucinated: cur.bool()?,
+            fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
+                Ok(CampaignReport { $($rf: Field::get(cur, strings)?),* })
             }
         }
-        3 => CampaignEvent::ExecutionScheduled {
-            lane: cur.varint()? as usize,
-            batch: cur.varint()? as usize,
-            duration: evoflow_sim::SimDuration::from_nanos(cur.varint()?),
-            done_at: evoflow_sim::SimTime::from_nanos(cur.varint()?),
-        },
-        4 => CampaignEvent::ResultObserved {
-            lane: cur.varint()? as usize,
-            experiment: cur.varint()?,
-            score: cur.f64()?,
-            hit: cur.bool()?,
-            peak: match cur.varint()? {
-                0 => None,
-                p => Some(p as usize - 1),
-            },
-            tokens_in: cur.varint()?,
-            tokens_out: cur.varint()?,
-        },
-        5 => CampaignEvent::GateDecision {
-            lane: cur.varint()? as usize,
-            rejected_total: cur.varint()?,
-        },
-        6 => CampaignEvent::OmegaRewrite {
-            lane: cur.varint()? as usize,
-            rewrites_total: cur.varint()? as u32,
-        },
-        7 => CampaignEvent::IterationEnded {
-            lane: cur.varint()? as usize,
-            proposed: cur.varint()? as usize,
-            hits: cur.varint()?,
-            tokens_total: cur.varint()?,
-        },
-        8 => CampaignEvent::CampaignFinished {
-            experiments: cur.varint()?,
-            total_hits: cur.varint()?,
-            distinct_discoveries: cur.varint()? as usize,
-            best_score: cur.f64()?,
-            time_to_first_hours: cur.opt_f64()?,
-            decision_wait_hours: cur.f64()?,
-            execution_hours: cur.f64()?,
-            rejected_proposals: cur.varint()?,
-            omega_rewrites: cur.varint()? as u32,
-            kg_nodes: cur.varint()? as usize,
-            prov_activities: cur.varint()? as usize,
-            tokens: cur.varint()?,
-        },
-        9 => CampaignEvent::CheckpointTaken {
-            committed: cur.varint()? as usize,
-            total: cur.varint()? as usize,
-        },
-        10 => CampaignEvent::CoordinatorKilled {
-            after_commits: cur.varint()? as usize,
-        },
-        11 => CampaignEvent::CampaignPlaced {
-            campaign: cur.varint()? as usize,
-            facility: owned(strings.get(cur)?),
-            nodes: cur.varint()?,
-            arrival: evoflow_sim::SimTime::from_nanos(cur.varint()?),
-            evacuation: cur.bool()?,
-        },
-        12 => CampaignEvent::DataTransferred {
-            campaign: cur.varint()? as usize,
-            from: owned(strings.get(cur)?),
-            to: owned(strings.get(cur)?),
-            gigabytes: cur.f64()?,
-            duration: evoflow_sim::SimDuration::from_nanos(cur.varint()?),
-            evacuation: cur.bool()?,
-        },
-        13 => CampaignEvent::OutageStruck {
-            site: owned(strings.get(cur)?),
-            at: evoflow_sim::SimTime::from_nanos(cur.varint()?),
-            rerouted: cur.varint()? as usize,
-        },
-        14 => CampaignEvent::SubmissionAdmitted {
-            tenant: owned(strings.get(cur)?),
-            admission_index: cur.varint()? as usize,
-            round: cur.varint()? as usize,
-        },
-        15 => CampaignEvent::SubmissionRejected {
-            tenant: owned(strings.get(cur)?),
-            submission_index: cur.varint()? as usize,
-            round: cur.varint()? as usize,
-            reason: reason_from_code(cur.u8()?)?,
-        },
-        16 => CampaignEvent::CampaignDispatched {
-            tenant: owned(strings.get(cur)?),
-            admission_index: cur.varint()? as usize,
-            round: cur.varint()? as usize,
-            slot: cur.varint()? as usize,
-        },
-        17 => CampaignEvent::EnsembleMessage {
-            lane: cur.varint()? as usize,
-            round: cur.varint()?,
-            performative: owned(strings.get(cur)?),
-            sender: owned(strings.get(cur)?),
-            receiver: owned(strings.get(cur)?),
-            conversation: cur.varint()?,
-            frame_bytes: cur.varint()?,
-        },
-        18 => CampaignEvent::TournamentMatch {
-            lane: cur.varint()? as usize,
-            round: cur.varint()?,
-            left: cur.varint()? as usize,
-            right: cur.varint()? as usize,
-            winner: cur.varint()? as usize,
-            margin: cur.f64()?,
-        },
-        19 => CampaignEvent::MetaReview {
-            lane: cur.varint()? as usize,
-            round: cur.varint()?,
-            generator_weight: cur.f64()?,
-            evolver_weight: cur.f64()?,
-            critiques: cur.varint()?,
-        },
-        tag => return Err(WireError::BadTag { tag }),
-    })
+
+        /// One record body: the variant's tag, then its fields in order.
+        fn encode_event(out: &mut Vec<u8>, strings: &mut InternWriter, event: &CampaignEvent) {
+            match event {
+                $(CampaignEvent::$variant { $($f),* } => {
+                    out.push($tag);
+                    $(put_field!($f, out, strings $(, $codec)?);)*
+                })*
+            }
+        }
+
+        fn decode_event(
+            cur: &mut Cursor<'_>,
+            strings: &mut InternReader,
+        ) -> Result<CampaignEvent, WireError> {
+            Ok(match cur.u8()? {
+                $($tag => CampaignEvent::$variant {
+                    $($f: get_field!(cur, strings $(, $codec)?)),*
+                },)*
+                tag => return Err(WireError::BadTag { tag }),
+            })
+        }
+
+        impl CampaignEvent {
+            /// Short stable tag for this event's variant (metrics keys, errors).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(CampaignEvent::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Precomputed `ledger.`-prefixed metrics key for this variant.
+            ///
+            /// [`MetricsSink`](super::MetricsSink) bumps one counter per
+            /// event; building the key with `format!("ledger.{}", kind)`
+            /// allocated a fresh `String` on every event in the recording
+            /// hot loop. These are the same keys, interned at compile time.
+            pub fn metric_key(&self) -> &'static str {
+                match self {
+                    $(CampaignEvent::$variant { .. } => concat!("ledger.", $kind),)*
+                }
+            }
+        }
+    };
+}
+
+// The one statement of every record layout: a committed report's fields
+// in wire order, then per event variant its tag, kind label and fields in
+// wire order (`text` marks tokenized free text).
+//
+// Tags are frozen: tag n is the n-th declared `CampaignEvent` variant, a
+// new variant appends with the next tag, existing tags never renumber and
+// fields never move. `tests/integration_serde.rs` pins every tag's bytes.
+wire_layouts! {
+    CampaignReport {
+        cell_label, experiments, distinct_discoveries, total_hits, sim_days,
+        discoveries_per_week, samples_per_day, time_to_first_hours, best_score,
+        decision_wait_hours, execution_hours, rejected_proposals, omega_rewrites,
+        kg_nodes, prov_activities, tokens,
+    }
+    0 "campaign-started" CampaignStarted {
+        cell_label, seed, planner, lanes, horizon, threshold, max_experiments, records_knowledge,
+    }
+    1 "iteration-started" IterationStarted { lane, at, decision_ready }
+    2 "candidate-proposed" CandidateProposed {
+        lane, params, rationale: text, confidence, hallucinated,
+    }
+    3 "execution-scheduled" ExecutionScheduled { lane, batch, duration, done_at }
+    4 "result-observed" ResultObserved {
+        lane, experiment, score, hit, peak, tokens_in, tokens_out,
+    }
+    5 "gate-decision" GateDecision { lane, rejected_total }
+    6 "omega-rewrite" OmegaRewrite { lane, rewrites_total }
+    7 "iteration-ended" IterationEnded { lane, proposed, hits, tokens_total }
+    8 "campaign-finished" CampaignFinished {
+        experiments, total_hits, distinct_discoveries, best_score, time_to_first_hours,
+        decision_wait_hours, execution_hours, rejected_proposals, omega_rewrites, kg_nodes,
+        prov_activities, tokens,
+    }
+    9 "checkpoint-taken" CheckpointTaken { committed, total }
+    10 "coordinator-killed" CoordinatorKilled { after_commits }
+    11 "campaign-placed" CampaignPlaced { campaign, facility, nodes, arrival, evacuation }
+    12 "data-transferred" DataTransferred {
+        campaign, from, to, gigabytes, duration, evacuation,
+    }
+    13 "outage-struck" OutageStruck { site, at, rerouted }
+    14 "submission-admitted" SubmissionAdmitted { tenant, admission_index, round }
+    15 "submission-rejected" SubmissionRejected { tenant, submission_index, round, reason }
+    16 "campaign-dispatched" CampaignDispatched { tenant, admission_index, round, slot }
+    17 "ensemble-message" EnsembleMessage {
+        lane, round, performative, sender, receiver, conversation, frame_bytes,
+    }
+    18 "tournament-match" TournamentMatch { lane, round, left, right, winner, margin }
+    19 "meta-review" MetaReview { lane, round, generator_weight, evolver_weight, critiques }
 }
 
 // ---- body writer ------------------------------------------------------------
+
+/// The replay counters each segment opens with a snapshot of.
+#[derive(Clone, Copy, Default)]
+struct Counters {
+    experiments: u64,
+    hits: u64,
+    tokens: u64,
+}
+
+impl Counters {
+    /// Advance past one event, on both the encode and the decode side.
+    fn absorb(&mut self, event: &CampaignEvent) {
+        match event {
+            CampaignEvent::ResultObserved { hit, .. } => {
+                self.experiments += 1;
+                self.hits += u64::from(*hit);
+            }
+            CampaignEvent::IterationEnded { tokens_total, .. } => self.tokens = *tokens_total,
+            _ => {}
+        }
+    }
+}
 
 /// Incremental encoder for one event stream: batches records into
 /// ≤[`SEGMENT_EVENTS`]-event segments, each prefixed with the replay
@@ -1030,12 +923,9 @@ struct BodyWriter {
     total_events: u64,
     fnv: u64,
     strings: InternWriter,
-    experiments: u64,
-    hits: u64,
-    tokens: u64,
-    snap_experiments: u64,
-    snap_hits: u64,
-    snap_tokens: u64,
+    counters: Counters,
+    /// `counters` when the open segment began.
+    snap: Counters,
 }
 
 impl BodyWriter {
@@ -1049,12 +939,8 @@ impl BodyWriter {
             total_events: 0,
             fnv: FNV_OFFSET,
             strings: InternWriter::default(),
-            experiments: 0,
-            hits: 0,
-            tokens: 0,
-            snap_experiments: 0,
-            snap_hits: 0,
-            snap_tokens: 0,
+            counters: Counters::default(),
+            snap: Counters::default(),
         }
     }
 
@@ -1068,16 +954,7 @@ impl BodyWriter {
             .extend_from_slice(&fnv_fold16(self.fnv).to_le_bytes());
         self.seg_events += 1;
         self.total_events += 1;
-        match event {
-            CampaignEvent::ResultObserved { hit, .. } => {
-                self.experiments += 1;
-                if *hit {
-                    self.hits += 1;
-                }
-            }
-            CampaignEvent::IterationEnded { tokens_total, .. } => self.tokens = *tokens_total,
-            _ => {}
-        }
+        self.counters.absorb(event);
         if self.seg_events as usize == SEGMENT_EVENTS {
             self.flush_segment();
         }
@@ -1090,9 +967,9 @@ impl BodyWriter {
         let start = self.segments.len();
         put_varint(&mut self.segments, self.seg_index);
         put_varint(&mut self.segments, self.seg_events);
-        put_varint(&mut self.segments, self.snap_experiments);
-        put_varint(&mut self.segments, self.snap_hits);
-        put_varint(&mut self.segments, self.snap_tokens);
+        put_varint(&mut self.segments, self.snap.experiments);
+        put_varint(&mut self.segments, self.snap.hits);
+        put_varint(&mut self.segments, self.snap.tokens);
         put_varint(&mut self.segments, self.seg.len() as u64);
         self.segments.extend_from_slice(&self.seg);
         let crc = crc32(&self.segments[start..]);
@@ -1100,14 +977,11 @@ impl BodyWriter {
         self.seg.clear();
         self.seg_events = 0;
         self.seg_index += 1;
-        self.snap_experiments = self.experiments;
-        self.snap_hits = self.hits;
-        self.snap_tokens = self.tokens;
+        self.snap = self.counters;
     }
 
-    /// Seal the body and append it to `out` (byte-identical to
-    /// [`finish`](Self::finish) — appending into a caller-reused buffer
-    /// is the fast path, so the header CRC covers only the bytes this
+    /// Seal the body and append it to `out` (appending into a
+    /// caller-reused buffer, so the header CRC covers only the bytes this
     /// call wrote). Returns the encode's allocation-proxy counters.
     fn finish_into(mut self, out: &mut Vec<u8>) -> WireEncodeStats {
         self.flush_segment();
@@ -1124,12 +998,6 @@ impl BodyWriter {
             intern_hits: self.strings.hits,
             intern_misses: self.strings.misses,
         }
-    }
-
-    fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.segments.len() + 16);
-        self.finish_into(&mut out);
-        out
     }
 }
 
@@ -1150,16 +1018,8 @@ pub struct WireEncodeStats {
     pub intern_misses: u64,
 }
 
-fn encode_body<'a>(events: impl IntoIterator<Item = &'a CampaignEvent>) -> Vec<u8> {
-    let mut w = BodyWriter::new();
-    for e in events {
-        w.push(e);
-    }
-    w.finish()
-}
-
-/// Encode one event stream body, appending to `out` (buffer-reuse fast
-/// path; bytes identical to [`encode_body`]). Returns encode counters.
+/// Encode one event stream body, appending to `out`. Returns encode
+/// counters.
 fn encode_body_into<'a>(
     events: impl IntoIterator<Item = &'a CampaignEvent>,
     out: &mut Vec<u8>,
@@ -1169,6 +1029,13 @@ fn encode_body_into<'a>(
         w.push(e);
     }
     w.finish_into(out)
+}
+
+/// Append one body to `out` and return its length in bytes.
+fn append_body(events: &[CampaignEvent], out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    encode_body_into(events, out);
+    out.len() - start
 }
 
 // ---- body reader ------------------------------------------------------------
@@ -1189,9 +1056,7 @@ struct BodyReader<'a> {
     events_read: u64,
     fnv: u64,
     strings: InternReader,
-    experiments: u64,
-    hits: u64,
-    tokens: u64,
+    counters: Counters,
     done: bool,
 }
 
@@ -1215,9 +1080,7 @@ impl<'a> BodyReader<'a> {
             events_read: 0,
             fnv: FNV_OFFSET,
             strings: InternReader::default(),
-            experiments: 0,
-            hits: 0,
-            tokens: 0,
+            counters: Counters::default(),
             done: false,
         })
     }
@@ -1235,10 +1098,11 @@ impl<'a> BodyReader<'a> {
         if event_count == 0 {
             return Err(WireError::EmptySegment { segment: self.seg });
         }
+        let replayed = self.counters;
         let snaps = [
-            ("experiments", self.cur.varint()?, self.experiments),
-            ("hits", self.cur.varint()?, self.hits),
-            ("tokens", self.cur.varint()?, self.tokens),
+            ("experiments", self.cur.varint()?, replayed.experiments),
+            ("hits", self.cur.varint()?, replayed.hits),
+            ("tokens", self.cur.varint()?, replayed.tokens),
         ];
         for (field, declared, replayed) in snaps {
             if declared != replayed {
@@ -1285,9 +1149,7 @@ impl<'a> BodyReader<'a> {
                         decoded: self.events_read,
                     });
                 }
-                if self.cur.remaining() != 0 {
-                    return Err(WireError::TrailingBytes { at: self.cur.pos });
-                }
+                self.cur.end()?;
                 self.done = true;
                 return Ok(None);
             }
@@ -1324,16 +1186,7 @@ impl<'a> BodyReader<'a> {
         self.record += 1;
         self.seg_events_left -= 1;
         self.events_read += 1;
-        match &event {
-            CampaignEvent::ResultObserved { hit, .. } => {
-                self.experiments += 1;
-                if *hit {
-                    self.hits += 1;
-                }
-            }
-            CampaignEvent::IterationEnded { tokens_total, .. } => self.tokens = *tokens_total,
-            _ => {}
-        }
+        self.counters.absorb(&event);
         if self.seg_events_left == 0 {
             if self.cur.pos != self.seg_end {
                 return Err(WireError::TrailingBytes { at: self.cur.pos });
@@ -1352,6 +1205,23 @@ impl<'a> BodyReader<'a> {
         }
         Ok(events)
     }
+
+    /// Stream every event into a fresh [`ReplayFold`], never holding
+    /// more than one decoded event.
+    fn fold(mut self) -> Result<ReplayFold, ReplayError> {
+        let mut fold = ReplayFold::new();
+        while let Some(event) = self.next_event()? {
+            fold.push(&event)?;
+        }
+        Ok(fold)
+    }
+}
+
+/// Decode one self-validating campaign body.
+fn decode_ledger(body: &[u8]) -> Result<CampaignLedger, WireError> {
+    Ok(CampaignLedger {
+        events: BodyReader::new(body)?.collect()?,
+    })
 }
 
 // ---- envelope + containers --------------------------------------------------
@@ -1383,160 +1253,73 @@ fn check_envelope(bytes: &[u8], kind: u8) -> Result<&[u8], WireError> {
     Ok(&bytes[6..])
 }
 
-fn put_report(out: &mut Vec<u8>, strings: &mut InternWriter, r: &CampaignReport) {
-    strings.put(out, &r.cell_label);
-    put_varint(out, r.experiments);
-    put_varint(out, r.distinct_discoveries as u64);
-    put_varint(out, r.total_hits);
-    put_f64(out, r.sim_days);
-    put_f64(out, r.discoveries_per_week);
-    put_f64(out, r.samples_per_day);
-    put_opt_f64(out, r.time_to_first_hours);
-    put_f64(out, r.best_score);
-    put_f64(out, r.decision_wait_hours);
-    put_f64(out, r.execution_hours);
-    put_varint(out, r.rejected_proposals);
-    put_varint(out, u64::from(r.omega_rewrites));
-    put_varint(out, r.kg_nodes as u64);
-    put_varint(out, r.prov_activities as u64);
-    put_varint(out, r.tokens);
-}
-
-fn get_report(
-    cur: &mut Cursor<'_>,
-    strings: &mut InternReader,
-) -> Result<CampaignReport, WireError> {
-    Ok(CampaignReport {
-        cell_label: strings.get(cur)?,
-        experiments: cur.varint()?,
-        distinct_discoveries: cur.varint()? as usize,
-        total_hits: cur.varint()?,
-        sim_days: cur.f64()?,
-        discoveries_per_week: cur.f64()?,
-        samples_per_day: cur.f64()?,
-        time_to_first_hours: cur.opt_f64()?,
-        best_score: cur.f64()?,
-        decision_wait_hours: cur.f64()?,
-        execution_hours: cur.f64()?,
-        rejected_proposals: cur.varint()?,
-        omega_rewrites: cur.varint()? as u32,
-        kg_nodes: cur.varint()? as usize,
-        prov_activities: cur.varint()? as usize,
-        tokens: cur.varint()?,
-    })
-}
-
-/// Shared shape of both checkpoint kinds: per-slot seeds, optional
-/// committed reports, optional committed ledgers, plus a trailing
-/// fleet-scoped event stream.
-struct CheckpointParts {
+/// Encode a checkpoint container (both kinds share one shape: per-slot
+/// seeds, optional committed reports and ledgers, and a trailing
+/// fleet-scoped event stream): one section holding every seed, report,
+/// presence flag, and embedded-body length — then the self-validating
+/// campaign bodies back to back. Every byte of the file sits under
+/// exactly one checksum.
+fn encode_checkpoint(
+    kind: u8,
     master_seed: u64,
-    seeds: Vec<u64>,
-    completed: Vec<Option<CampaignReport>>,
-    ledgers: Vec<Option<CampaignLedger>>,
-    events: Vec<CampaignEvent>,
-}
-
-/// Encode a container: one CRC32-sealed scalar *section* holding every
-/// seed, report, presence flag, and embedded-body length — then the
-/// self-validating campaign bodies back to back. Every byte of the file
-/// sits under exactly one checksum.
-fn encode_checkpoint(kind: u8, parts: &CheckpointParts) -> Vec<u8> {
-    let bodies: Vec<Option<Vec<u8>>> = parts
-        .ledgers
+    seeds: &[u64],
+    completed: &[Option<CampaignReport>],
+    ledgers: &[Option<CampaignLedger>],
+    events: &[CampaignEvent],
+) -> Vec<u8> {
+    let mut bodies = Vec::new();
+    let lens: Vec<Option<usize>> = ledgers
         .iter()
-        .map(|l| l.as_ref().map(|l| encode_body(&l.events)))
+        .map(|l| l.as_ref().map(|l| append_body(&l.events, &mut bodies)))
         .collect();
-    let events_body = encode_body(&parts.events);
+    let events_len = append_body(events, &mut bodies);
 
     let mut section = Vec::new();
-    let mut strings = InternWriter::default();
-    put_varint(&mut section, parts.master_seed);
-    put_varint(&mut section, parts.seeds.len() as u64);
-    for &s in &parts.seeds {
-        put_varint(&mut section, s);
+    let strings = &mut InternWriter::default();
+    master_seed.put(&mut section, strings);
+    seeds.len().put(&mut section, strings);
+    for seed in seeds {
+        seed.put(&mut section, strings);
     }
-    for r in &parts.completed {
-        match r {
-            None => section.push(0),
-            Some(r) => {
-                section.push(1);
-                put_report(&mut section, &mut strings, r);
-            }
-        }
+    for report in completed {
+        report.put(&mut section, strings);
     }
-    for b in &bodies {
-        match b {
-            None => put_varint(&mut section, 0),
-            Some(b) => put_varint(&mut section, b.len() as u64 + 1),
-        }
+    for len in &lens {
+        len.put(&mut section, strings);
     }
-    put_varint(&mut section, events_body.len() as u64);
+    events_len.put(&mut section, strings);
 
-    let mut out = envelope(kind, section.len() + events_body.len() + 64);
-    put_varint(&mut out, section.len() as u64);
-    out.extend_from_slice(&section);
-    out.extend_from_slice(&crc32(&section).to_le_bytes());
-    for b in bodies.into_iter().flatten() {
-        out.extend_from_slice(&b);
-    }
-    out.extend_from_slice(&events_body);
+    let mut out = envelope(kind, section.len() + bodies.len() + 16);
+    put_section(&mut out, &section);
+    out.extend_from_slice(&bodies);
     out
 }
 
-fn decode_checkpoint(bytes: &[u8], kind: u8) -> Result<CheckpointParts, WireError> {
-    let body = check_envelope(bytes, kind)?;
-    let mut cur = Cursor::new(body);
-    let section_len = cur.varint()? as usize;
-    let section = cur.take(section_len)?;
-    let stored = cur.u32_le()?;
-    if stored != crc32(section) {
-        return Err(WireError::SectionChecksum);
-    }
-    let mut scur = Cursor::new(section);
-    let mut strings = InternReader::default();
-    let master_seed = scur.varint()?;
-    let n = scur.varint()? as usize;
-    let mut seeds = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        seeds.push(scur.varint()?);
-    }
-    let mut completed = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        completed.push(match scur.u8()? {
-            0 => None,
-            _ => Some(get_report(&mut scur, &mut strings)?),
-        });
-    }
-    let mut body_lens: Vec<Option<usize>> = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        body_lens.push(match scur.varint()? {
-            0 => None,
-            l => Some(l as usize - 1),
-        });
-    }
-    let events_len = scur.varint()? as usize;
-    if scur.remaining() != 0 {
-        return Err(WireError::TrailingBytes { at: scur.pos });
-    }
-    let mut ledgers = Vec::with_capacity(n.min(1 << 16));
-    for len in body_lens {
-        ledgers.push(match len {
-            None => None,
-            Some(len) => {
-                let slice = cur.take(len)?;
-                Some(CampaignLedger {
-                    events: BodyReader::new(slice)?.collect()?,
-                })
-            }
-        });
-    }
-    let events_slice = cur.take(events_len)?;
-    let events = BodyReader::new(events_slice)?.collect()?;
-    if cur.remaining() != 0 {
-        return Err(WireError::TrailingBytes { at: cur.pos });
-    }
-    Ok(CheckpointParts {
+/// Decode either checkpoint kind into the shared shape, which is exactly
+/// [`ServiceCheckpoint`]'s fields.
+fn decode_checkpoint(bytes: &[u8], kind: u8) -> Result<ServiceCheckpoint, WireError> {
+    let mut cur = Cursor::new(check_envelope(bytes, kind)?);
+    let mut scur = cur.take_section()?;
+    let strings = &mut InternReader::default();
+    let master_seed = u64::get(&mut scur, strings)?;
+    let seeds = Vec::<u64>::get(&mut scur, strings)?;
+    let completed = seeds
+        .iter()
+        .map(|_| Field::get(&mut scur, strings))
+        .collect::<Result<Vec<_>, _>>()?;
+    let body_lens = seeds
+        .iter()
+        .map(|_| Option::<usize>::get(&mut scur, strings))
+        .collect::<Result<Vec<_>, _>>()?;
+    let events_len = usize::get(&mut scur, strings)?;
+    scur.end()?;
+    let ledgers = body_lens
+        .into_iter()
+        .map(|len| len.map(|len| decode_ledger(cur.take(len)?)).transpose())
+        .collect::<Result<Vec<_>, _>>()?;
+    let events = BodyReader::new(cur.take(events_len)?)?.collect()?;
+    cur.end()?;
+    Ok(ServiceCheckpoint {
         master_seed,
         seeds,
         completed,
@@ -1592,12 +1375,7 @@ impl CampaignLedger {
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignLedger, WireError> {
         match LedgerEncoding::detect(bytes) {
             LedgerEncoding::Json => from_json_bytes(bytes),
-            LedgerEncoding::Binary => {
-                let body = check_envelope(bytes, KIND_CAMPAIGN)?;
-                Ok(CampaignLedger {
-                    events: BodyReader::new(body)?.collect()?,
-                })
-            }
+            LedgerEncoding::Binary => decode_ledger(check_envelope(bytes, KIND_CAMPAIGN)?),
         }
     }
 }
@@ -1609,26 +1387,20 @@ impl FleetLedger {
         match encoding {
             LedgerEncoding::Json => json_bytes(self),
             LedgerEncoding::Binary => {
-                // One contiguous buffer for every campaign body (plus
-                // its length table) instead of a `Vec<Vec<u8>>` — same
-                // bytes, one allocation curve.
+                // One contiguous buffer for every campaign body; the
+                // section holds the seed and the length table.
                 let mut bodies = Vec::new();
-                let mut lens: Vec<usize> = Vec::with_capacity(self.campaigns.len());
-                for c in &self.campaigns {
-                    let start = bodies.len();
-                    encode_body_into(&c.events, &mut bodies);
-                    lens.push(bodies.len() - start);
-                }
+                let lens: Vec<usize> = self
+                    .campaigns
+                    .iter()
+                    .map(|c| append_body(&c.events, &mut bodies))
+                    .collect();
                 let mut section = Vec::new();
-                put_varint(&mut section, self.master_seed);
-                put_varint(&mut section, lens.len() as u64);
-                for &l in &lens {
-                    put_varint(&mut section, l as u64);
-                }
-                let mut out = envelope(KIND_FLEET, section.len() + bodies.len());
-                put_varint(&mut out, section.len() as u64);
-                out.extend_from_slice(&section);
-                out.extend_from_slice(&crc32(&section).to_le_bytes());
+                let strings = &mut InternWriter::default();
+                self.master_seed.put(&mut section, strings);
+                lens.put(&mut section, strings);
+                let mut out = envelope(KIND_FLEET, section.len() + bodies.len() + 16);
+                put_section(&mut out, &section);
                 out.extend_from_slice(&bodies);
                 out
             }
@@ -1641,15 +1413,12 @@ impl FleetLedger {
             LedgerEncoding::Json => from_json_bytes(bytes),
             LedgerEncoding::Binary => {
                 let (master_seed, slices) = fleet_body_slices(bytes)?;
-                let mut campaigns = Vec::with_capacity(slices.len());
-                for slice in slices {
-                    campaigns.push(CampaignLedger {
-                        events: BodyReader::new(slice)?.collect()?,
-                    });
-                }
                 Ok(FleetLedger {
                     master_seed,
-                    campaigns,
+                    campaigns: slices
+                        .into_iter()
+                        .map(decode_ledger)
+                        .collect::<Result<_, _>>()?,
                 })
             }
         }
@@ -1659,31 +1428,17 @@ impl FleetLedger {
 /// Parse a kind-1 file down to its per-campaign body slices without
 /// decoding any events.
 fn fleet_body_slices(bytes: &[u8]) -> Result<(u64, Vec<&[u8]>), WireError> {
-    let body = check_envelope(bytes, KIND_FLEET)?;
-    let mut cur = Cursor::new(body);
-    let section_len = cur.varint()? as usize;
-    let section = cur.take(section_len)?;
-    let stored = cur.u32_le()?;
-    if stored != crc32(section) {
-        return Err(WireError::SectionChecksum);
-    }
-    let mut scur = Cursor::new(section);
-    let master_seed = scur.varint()?;
-    let n = scur.varint()? as usize;
-    let mut lens = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        lens.push(scur.varint()? as usize);
-    }
-    if scur.remaining() != 0 {
-        return Err(WireError::TrailingBytes { at: scur.pos });
-    }
-    let mut slices = Vec::with_capacity(n.min(1 << 16));
-    for len in lens {
-        slices.push(cur.take(len)?);
-    }
-    if cur.remaining() != 0 {
-        return Err(WireError::TrailingBytes { at: cur.pos });
-    }
+    let mut cur = Cursor::new(check_envelope(bytes, KIND_FLEET)?);
+    let mut scur = cur.take_section()?;
+    let strings = &mut InternReader::default();
+    let master_seed = u64::get(&mut scur, strings)?;
+    let lens = Vec::<usize>::get(&mut scur, strings)?;
+    scur.end()?;
+    let slices = lens
+        .into_iter()
+        .map(|len| cur.take(len))
+        .collect::<Result<Vec<_>, _>>()?;
+    cur.end()?;
     Ok((master_seed, slices))
 }
 
@@ -1694,13 +1449,11 @@ impl FleetLedgerCheckpoint {
             LedgerEncoding::Json => json_bytes(self),
             LedgerEncoding::Binary => encode_checkpoint(
                 KIND_FLEET_CHECKPOINT,
-                &CheckpointParts {
-                    master_seed: self.fleet.master_seed,
-                    seeds: self.fleet.shard_seeds.clone(),
-                    completed: self.fleet.completed.clone(),
-                    ledgers: self.ledgers.clone(),
-                    events: self.events.clone(),
-                },
+                self.fleet.master_seed,
+                &self.fleet.shard_seeds,
+                &self.fleet.completed,
+                &self.ledgers,
+                &self.events,
             ),
         }
     }
@@ -1732,13 +1485,11 @@ impl ServiceCheckpoint {
             LedgerEncoding::Json => json_bytes(self),
             LedgerEncoding::Binary => encode_checkpoint(
                 KIND_SERVICE_CHECKPOINT,
-                &CheckpointParts {
-                    master_seed: self.master_seed,
-                    seeds: self.seeds.clone(),
-                    completed: self.completed.clone(),
-                    ledgers: self.ledgers.clone(),
-                    events: self.events.clone(),
-                },
+                self.master_seed,
+                &self.seeds,
+                &self.completed,
+                &self.ledgers,
+                &self.events,
             ),
         }
     }
@@ -1747,16 +1498,7 @@ impl ServiceCheckpoint {
     pub fn from_bytes(bytes: &[u8]) -> Result<ServiceCheckpoint, WireError> {
         match LedgerEncoding::detect(bytes) {
             LedgerEncoding::Json => from_json_bytes(bytes),
-            LedgerEncoding::Binary => {
-                let parts = decode_checkpoint(bytes, KIND_SERVICE_CHECKPOINT)?;
-                Ok(ServiceCheckpoint {
-                    master_seed: parts.master_seed,
-                    seeds: parts.seeds,
-                    completed: parts.completed,
-                    ledgers: parts.ledgers,
-                    events: parts.events,
-                })
-            }
+            LedgerEncoding::Binary => decode_checkpoint(bytes, KIND_SERVICE_CHECKPOINT),
         }
     }
 }
@@ -1779,12 +1521,7 @@ pub fn replay_ledger_bytes(bytes: &[u8]) -> Result<ReplayOutcome, ReplayError> {
         }
         LedgerEncoding::Binary => {
             let body = check_envelope(bytes, KIND_CAMPAIGN)?;
-            let mut reader = BodyReader::new(body)?;
-            let mut fold = ReplayFold::new();
-            while let Some(event) = reader.next_event()? {
-                fold.push(&event)?;
-            }
-            fold.finish()
+            BodyReader::new(body)?.fold()?.finish()
         }
     }
 }
@@ -1815,12 +1552,7 @@ pub(crate) fn replay_fleet_ledger_bytes_on(
         LedgerEncoding::Binary => {
             let (master_seed, slices) = fleet_body_slices(bytes)?;
             super::fold_fleet(master_seed, &slices, threads, |slice| {
-                let mut reader = BodyReader::new(slice)?;
-                let mut fold = ReplayFold::new();
-                while let Some(event) = reader.next_event()? {
-                    fold.push(&event)?;
-                }
-                fold.finish_report()
+                BodyReader::new(slice)?.fold()?.finish_report()
             })
         }
     }
@@ -1959,21 +1691,14 @@ mod tests {
         assert_eq!(crc32(&buf), crc32_bytewise(&buf));
     }
 
-    #[test]
-    fn unknown_future_event_tag_is_refused_as_bad_tag() {
-        // Forward-compat contract: a stream written by a future build
-        // with an event tag this decoder has never heard of must surface
-        // as a *typed* `BadTag` refusal — not a checksum error, not a
-        // silent skip. Every checksum here is valid, so the tag check is
-        // the only thing that can (and must) refuse.
-        let mut record = Vec::new();
-        record.push(42u8); // a tag three generations from now
-        put_varint(&mut record, 7);
-
+    /// A kind-0 file holding one record whose body (tag byte and
+    /// fields) is `record`, with every frame, fold and checksum valid:
+    /// only the record's own fields can be refused.
+    fn sealed_one_record(record: &[u8]) -> Vec<u8> {
         let mut seg = Vec::new();
         put_varint(&mut seg, record.len() as u64);
-        seg.extend_from_slice(&record);
-        let fnv = fnv_absorb(FNV_OFFSET, &record);
+        seg.extend_from_slice(record);
+        let fnv = fnv_absorb(FNV_OFFSET, record);
         seg.extend_from_slice(&fnv_fold16(fnv).to_le_bytes());
 
         let mut segments = Vec::new();
@@ -1997,21 +1722,52 @@ mod tests {
         let header_crc = crc32(&bytes[header_start..]);
         bytes.extend_from_slice(&header_crc.to_le_bytes());
         bytes.extend_from_slice(&segments);
+        bytes
+    }
 
+    /// `bytes` is refused with `expected` by both the decoder and the
+    /// streaming replay.
+    fn refused_alike(bytes: &[u8], expected: WireError) {
+        assert_eq!(CampaignLedger::from_bytes(bytes), Err(expected.clone()));
         assert!(matches!(
-            CampaignLedger::from_bytes(&bytes),
-            Err(WireError::BadTag { tag: 42 })
+            replay_ledger_bytes(bytes),
+            Err(ReplayError::Corrupt(e)) if e == expected
         ));
-        // The error being `BadTag { 42 }` — not a header/segment/record
-        // checksum refusal — proves the framing above is valid and the
-        // tag check alone did the refusing. Streaming replay surfaces the
-        // same typed error.
-        assert!(matches!(
-            replay_ledger_bytes(&bytes),
-            Err(crate::ledger::ReplayError::Corrupt(WireError::BadTag {
-                tag: 42
-            }))
-        ));
+    }
+
+    #[test]
+    fn unknown_future_event_tag_is_refused_as_bad_tag() {
+        // Forward-compat contract: a stream written by a future build
+        // with an event tag this decoder has never heard of must surface
+        // as a *typed* `BadTag` refusal — not a checksum error, not a
+        // silent skip. Every checksum is valid, so the tag check is the
+        // only thing that can (and must) refuse.
+        let mut record = vec![42u8]; // a tag three generations from now
+        put_varint(&mut record, 7);
+        refused_alike(&sealed_one_record(&record), WireError::BadTag { tag: 42 });
+    }
+
+    #[test]
+    fn out_of_range_narrow_integers_are_refused() {
+        // An `OmegaRewrite` (tag 6) whose `u32` count is 2^32: the
+        // decoder refuses it instead of truncating it to 0, which replay's
+        // cross-check could not catch (both sides would truncate alike).
+        let omega = |rewrites_total: u64| {
+            let mut record = vec![6u8];
+            put_varint(&mut record, 0); // lane
+            put_varint(&mut record, rewrites_total);
+            sealed_one_record(&record)
+        };
+        // The count's varint starts after the tag and lane bytes.
+        refused_alike(&omega(1 << 32), WireError::VarintOverflow { at: 2 });
+        // The widest valid count still decodes exactly.
+        assert_eq!(
+            CampaignLedger::from_bytes(&omega(u64::from(u32::MAX))).map(|l| l.events),
+            Ok(vec![CampaignEvent::OmegaRewrite {
+                lane: 0,
+                rewrites_total: u32::MAX,
+            }])
+        );
     }
 
     #[test]
@@ -2260,12 +2016,7 @@ mod tests {
             LedgerEncoding::Binary => {
                 let (master_seed, slices) = fleet_body_slices(bytes)?;
                 for slice in slices {
-                    let mut reader = BodyReader::new(slice)?;
-                    let mut fold = ReplayFold::new();
-                    while let Some(event) = reader.next_event()? {
-                        fold.push(&event)?;
-                    }
-                    reports.push(fold.finish()?.report);
+                    reports.push(BodyReader::new(slice)?.fold()?.finish()?.report);
                 }
                 master_seed
             }

@@ -552,6 +552,357 @@ fn ensemble_ledger_formats_are_stable_and_legacy_streams_still_decode() {
     assert_eq!(outcome.report.best_score, 0.25);
 }
 
+// ---- every tag and every container kind, pinned ----------------------------
+//
+// The snapshots above pin the discovery-loop and ensemble tags. These pin
+// the rest: one record of every `CampaignEvent` variant (each field codec
+// in both of its shapes), and one artifact of each container kind, whose
+// scalar sections carry `CampaignReport`'s field order.
+
+use evoflow::core::{CampaignReport, FleetLedger, RejectReason};
+
+fn hex_of(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A stream holding every event variant at least once. Not a replayable
+/// campaign (it mixes fleet, federation and service events in); it pins
+/// bytes only. It exercises `Some`/`None` peaks and first-discovery
+/// times, both `hit` values, a tokenized and a whole-interned rationale,
+/// intern hits on a repeated facility and tenant, and every reject
+/// reason.
+fn every_tag_ledger() -> CampaignLedger {
+    use evoflow::sim::{SimDuration as D, SimTime as T};
+    let finished = |time_to_first_hours| CampaignEvent::CampaignFinished {
+        experiments: 2,
+        total_hits: 1,
+        distinct_discoveries: 1,
+        best_score: 0.875,
+        time_to_first_hours,
+        decision_wait_hours: 0.5,
+        execution_hours: 1.25,
+        rejected_proposals: 4,
+        omega_rewrites: 3,
+        kg_nodes: 6,
+        prov_activities: 4,
+        tokens: 900,
+    };
+    let rejected = |submission_index, reason| CampaignEvent::SubmissionRejected {
+        tenant: "acme".into(),
+        submission_index,
+        round: 2,
+        reason,
+    };
+    CampaignLedger {
+        events: vec![
+            CampaignEvent::CampaignStarted {
+                cell_label: "Intelligent × Swarm".into(),
+                seed: 11,
+                planner: "ensemble(s4)".into(),
+                lanes: 2,
+                horizon: D::from_hours(6),
+                threshold: 0.75,
+                max_experiments: 32,
+                records_knowledge: true,
+            },
+            CampaignEvent::IterationStarted {
+                lane: 1,
+                at: T::from_secs(7),
+                decision_ready: T::from_secs(9),
+            },
+            CampaignEvent::CandidateProposed {
+                lane: 1,
+                params: vec![0.125, 0.5, 0.875],
+                rationale: "widen the search around the incumbent peak".into(),
+                confidence: 0.8,
+                hallucinated: true,
+            },
+            CampaignEvent::CandidateProposed {
+                lane: 0,
+                params: vec![],
+                rationale: "grid".into(),
+                confidence: 1.0,
+                hallucinated: false,
+            },
+            CampaignEvent::ExecutionScheduled {
+                lane: 1,
+                batch: 2,
+                duration: D::from_secs(90),
+                done_at: T::from_secs(99),
+            },
+            CampaignEvent::ResultObserved {
+                lane: 1,
+                experiment: 1,
+                score: 0.875,
+                hit: true,
+                peak: Some(2),
+                tokens_in: 300,
+                tokens_out: 120,
+            },
+            CampaignEvent::ResultObserved {
+                lane: 1,
+                experiment: 2,
+                score: 0.25,
+                hit: false,
+                peak: None,
+                tokens_in: 600,
+                tokens_out: 300,
+            },
+            CampaignEvent::GateDecision {
+                lane: 1,
+                rejected_total: 4,
+            },
+            CampaignEvent::OmegaRewrite {
+                lane: 1,
+                rewrites_total: 3,
+            },
+            CampaignEvent::IterationEnded {
+                lane: 1,
+                proposed: 2,
+                hits: 1,
+                tokens_total: 900,
+            },
+            finished(Some(0.0025)),
+            finished(None),
+            CampaignEvent::CheckpointTaken {
+                committed: 1,
+                total: 3,
+            },
+            CampaignEvent::CoordinatorKilled { after_commits: 1 },
+            CampaignEvent::CampaignPlaced {
+                campaign: 2,
+                facility: "polaris".into(),
+                nodes: 16,
+                arrival: T::from_secs(30),
+                evacuation: false,
+            },
+            CampaignEvent::DataTransferred {
+                campaign: 2,
+                from: "polaris".into(),
+                to: "aurora".into(),
+                gigabytes: 12.5,
+                duration: D::from_secs(40),
+                evacuation: true,
+            },
+            CampaignEvent::OutageStruck {
+                site: "aurora".into(),
+                at: T::from_secs(3600),
+                rerouted: 5,
+            },
+            CampaignEvent::SubmissionAdmitted {
+                tenant: "acme".into(),
+                admission_index: 3,
+                round: 1,
+            },
+            rejected(4, RejectReason::UnknownTenant),
+            rejected(5, RejectReason::QueueFull),
+            rejected(6, RejectReason::AdmissionCapExhausted),
+            CampaignEvent::CampaignDispatched {
+                tenant: "acme".into(),
+                admission_index: 3,
+                round: 2,
+                slot: 7,
+            },
+            CampaignEvent::EnsembleMessage {
+                lane: 0,
+                round: 2,
+                performative: "critique".into(),
+                sender: "reflector".into(),
+                receiver: "generator".into(),
+                conversation: 9,
+                frame_bytes: 211,
+            },
+            CampaignEvent::TournamentMatch {
+                lane: 0,
+                round: 2,
+                left: 3,
+                right: 4,
+                winner: 3,
+                margin: 0.0625,
+            },
+            CampaignEvent::MetaReview {
+                lane: 0,
+                round: 2,
+                generator_weight: 0.5,
+                evolver_weight: 0.5,
+                critiques: 7,
+            },
+        ],
+    }
+}
+
+/// The exact `EVWL` bytes of [`every_tag_ledger`]: every event tag 0–19
+/// in one kind-0 body.
+const EVERY_TAG_LEDGER_EVWL_HEX: &str = concat!(
+    "4556574c010001197e8ba93c00190000009f0438000014496e74656c6c696765",
+    "6e7420c39720537761726d0b000c656e73656d626c6528733429028080cfa2d2",
+    "f404000000000000e83f2001f3b80c0101808cee891a80b4c4c321329c540201",
+    "03000000000000c03f000000000000e03f000000000000ec3f01070005776964",
+    "656e00037468650006736561726368000661726f756e64040009696e63756d62",
+    "656e7400047065616b9a9999999999e93f01690e130200000000046772696400",
+    "0000000000f03f0060010f0301028088aca3cf0280bcf0e6f002c86910040101",
+    "000000000000ec3f0103ac02783f8611040102000000000000d03f0000d804ac",
+    "02a638030501044c7a03060103e55506070102018407abbc2b08020101000000",
+    "000000ec3f017b14ae47e17a643f000000000000e03f000000000000f43f0403",
+    "060484073bdc2308020101000000000000ec3f00000000000000e03f00000000",
+    "0000f43f040306048407661903090103fb72020a01f06e120b020007706f6c61",
+    "7269731080d88ee16f00e4d51a0c020a00066175726f72610000000000002940",
+    "80a0be81950101f350090d0b80c0e285e36805d852090e000461636d65030175",
+    "c3050f0c0402008559050f0c050201e515050f0c0602029b4405100c03020785",
+    "54261100020008637269746971756500097265666c6563746f72000967656e65",
+    "7261746f7209d301c9310e120002030403000000000000b03fe9931413000200",
+    "0000000000e03f000000000000e03f07c4ed16ad4b5c",
+);
+
+/// A committed report with every field non-zero, so each field's
+/// position in a checkpoint section is pinned.
+fn pinned_report() -> CampaignReport {
+    CampaignReport {
+        cell_label: "Static × Single".into(),
+        experiments: 40,
+        distinct_discoveries: 2,
+        total_hits: 5,
+        sim_days: 1.5,
+        discoveries_per_week: 9.25,
+        samples_per_day: 26.5,
+        time_to_first_hours: Some(7.75),
+        best_score: 0.9375,
+        decision_wait_hours: 0.375,
+        execution_hours: 26.75,
+        rejected_proposals: 3,
+        omega_rewrites: 2,
+        kg_nodes: 120,
+        prov_activities: 80,
+        tokens: 4096,
+    }
+}
+
+/// The kill audit trail both checkpoint kinds carry.
+fn kill_events() -> Vec<CampaignEvent> {
+    vec![
+        CampaignEvent::CoordinatorKilled { after_commits: 1 },
+        CampaignEvent::CheckpointTaken {
+            committed: 1,
+            total: 2,
+        },
+    ]
+}
+
+/// The exact kind-1 `EVWL` bytes of a two-campaign [`FleetLedger`].
+const FLEET_LEDGER_EVWL_HEX: &str = concat!(
+    "4556574c0101064d02b4018102ad90802701071db6a6c60007000000a3012b00",
+    "001053746174696320c3972053696e676c65070004677269640180c0e285e368",
+    "333333333333e33f0a006c3c0801000080bcc1960b2fee160200010000000000",
+    "00e03f0002000000000000f03f0045f50f03000180b09dc2df0180ecded8ea01",
+    "9ca80f040001000000000000d03f00000000d93c0507000100000c8322080100",
+    "00000000000000d03f004f1be8b4814e4b3f111111111111913f000000000016",
+    "8690c242b6010aa0ca17b8000a000000f0012b00001053746174696320c39720",
+    "53696e676c65070004677269640180c0e285e368333333333333e33f0a006c3c",
+    "0801000080bcc1960b2fee16020001000000000000e03f0002000000000000f0",
+    "3f0045f50f03000180b09dc2df0180ecded8ea019ca80f040001000000000000",
+    "d03f00000000d93c0507000100000c8322110001000770726f706f7365000967",
+    "656e657261746f72000672616e6b657203bb0167600e12000100010100000000",
+    "0000c03f375b14130001000000000000e43f000000000000d83f1852ac220801",
+    "0000000000000000d03f004f1be8b4814e4b3f111111111111913f0000000000",
+    "a9186c833b5a",
+);
+
+/// The exact kind-2 `EVWL` bytes of a [`FleetLedgerCheckpoint`] with one
+/// committed and one empty slot.
+const FLEET_CHECKPOINT_EVWL_HEX: &str = concat!(
+    "4556574c01026e050290b5f4cb9d90cdeb24d4f2e99fde87fcf4660100105374",
+    "6174696320c3972053696e676c65280205000000000000f83f00000000008022",
+    "400000000000803a40010000000000001f40000000000000ee3f000000000000",
+    "d83f0000000000c03a4003027850802000b501001b17d6e7c301071db6a6c600",
+    "07000000a3012b00001053746174696320c3972053696e676c65070004677269",
+    "640180c0e285e368333333333333e33f0a006c3c0801000080bcc1960b2fee16",
+    "020001000000000000e03f0002000000000000f03f0045f50f03000180b09dc2",
+    "df0180ecded8ea019ca80f040001000000000000d03f00000000d93c05070001",
+    "00000c832208010000000000000000d03f004f1be8b4814e4b3f111111111111",
+    "913f0000000000168690c242b601029242ccb600020000000b020a018f730309",
+    "0102d4fd353d9726",
+);
+
+/// The exact kind-3 `EVWL` bytes of a [`ServiceCheckpoint`] with one
+/// committed and one empty slot.
+const SERVICE_CHECKPOINT_EVWL_HEX: &str = concat!(
+    "4556574c0103670502bf9be6b0f8bcb7a185010c01001053746174696320c397",
+    "2053696e676c65280205000000000000f83f0000000000802240000000000080",
+    "3a40010000000000001f40000000000000ee3f000000000000d83f0000000000",
+    "c03a4003027850802000b501001b9bddbe0201071db6a6c60007000000a3012b",
+    "00001053746174696320c3972053696e676c65070004677269640180c0e285e3",
+    "68333333333333e33f0a006c3c0801000080bcc1960b2fee1602000100000000",
+    "0000e03f0002000000000000f03f0045f50f03000180b09dc2df0180ecded8ea",
+    "019ca80f040001000000000000d03f00000000d93c0507000100000c83220801",
+    "0000000000000000d03f004f1be8b4814e4b3f111111111111913f0000000000",
+    "168690c242b601029242ccb600020000000b020a018f7303090102d4fd353d97",
+    "26",
+);
+
+#[test]
+fn every_event_tag_wire_format_is_stable() {
+    let ledger = every_tag_ledger();
+    assert_eq!(
+        hex_of(&ledger.to_bytes(LedgerEncoding::Binary)),
+        EVERY_TAG_LEDGER_EVWL_HEX
+    );
+    let decoded = CampaignLedger::from_bytes(&from_hex(EVERY_TAG_LEDGER_EVWL_HEX))
+        .expect("pinned every-tag bytes decode");
+    assert_eq!(decoded, ledger);
+}
+
+#[test]
+fn container_wire_formats_are_stable() {
+    let fleet = FleetLedger {
+        master_seed: 77,
+        campaigns: vec![tiny_pinned_ledger(), tiny_pinned_ensemble_ledger()],
+    };
+    assert_eq!(
+        hex_of(&fleet.to_bytes(LedgerEncoding::Binary)),
+        FLEET_LEDGER_EVWL_HEX
+    );
+    assert_eq!(
+        FleetLedger::from_bytes(&from_hex(FLEET_LEDGER_EVWL_HEX)).expect("fleet decodes"),
+        fleet
+    );
+
+    let fleet_checkpoint = FleetLedgerCheckpoint {
+        fleet: FleetCheckpoint {
+            master_seed: 5,
+            shard_seeds: vec![2654648237662476944, 7415722410050746708],
+            completed: vec![Some(pinned_report()), None],
+        },
+        ledgers: vec![Some(tiny_pinned_ledger()), None],
+        events: kill_events(),
+    };
+    assert_eq!(
+        hex_of(&fleet_checkpoint.to_bytes(LedgerEncoding::Binary)),
+        FLEET_CHECKPOINT_EVWL_HEX
+    );
+    assert_eq!(
+        FleetLedgerCheckpoint::from_bytes(&from_hex(FLEET_CHECKPOINT_EVWL_HEX))
+            .expect("fleet checkpoint decodes"),
+        fleet_checkpoint
+    );
+
+    let service_checkpoint = ServiceCheckpoint {
+        master_seed: 5,
+        seeds: vec![9602481341964324287, 12],
+        completed: vec![Some(pinned_report()), None],
+        ledgers: vec![Some(tiny_pinned_ledger()), None],
+        events: kill_events(),
+    };
+    assert_eq!(
+        hex_of(&service_checkpoint.to_bytes(LedgerEncoding::Binary)),
+        SERVICE_CHECKPOINT_EVWL_HEX
+    );
+    assert_eq!(
+        ServiceCheckpoint::from_bytes(&from_hex(SERVICE_CHECKPOINT_EVWL_HEX))
+            .expect("service checkpoint decodes"),
+        service_checkpoint
+    );
+}
+
 /// A legacy JSON ledger — bytes written before the binary encoding
 /// existed — decodes through the same `from_bytes` entry point and
 /// replays to a byte-identical report. Archives never rot.
