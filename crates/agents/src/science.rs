@@ -18,7 +18,6 @@ use evoflow_sim::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A proposed design point with its provenance-relevant metadata.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -240,31 +239,18 @@ impl DesignAgent {
 pub struct AnalysisAgent {
     surrogate: RbfSurrogate,
     /// Candidate/score/accumulator buffers for the batched acquisition
-    /// pass, shared (via `Rc`) across a planner pool so one campaign's
-    /// surrogate-backed planners reuse the same allocations. Proposals
-    /// within a campaign are sequential, so the `RefCell` never
-    /// contends.
-    scratch: Rc<RefCell<ScoreScratch>>,
+    /// pass, reused across proposals. Scoring borrows them for one call
+    /// at a time, so the `RefCell` never contends.
+    scratch: RefCell<ScoreScratch>,
 }
 
 impl AnalysisAgent {
-    /// Create with the given surrogate bandwidth and private scratch.
+    /// Create with the given surrogate bandwidth.
     pub fn new(bandwidth: f64) -> Self {
-        Self::with_scratch(bandwidth, Rc::new(RefCell::new(ScoreScratch::default())))
-    }
-
-    /// Create with the given surrogate bandwidth, sharing `scratch` with
-    /// whoever else the caller hands it to (e.g. a meta-planner pool).
-    pub fn with_scratch(bandwidth: f64, scratch: Rc<RefCell<ScoreScratch>>) -> Self {
         AnalysisAgent {
             surrogate: RbfSurrogate::new(bandwidth),
-            scratch,
+            scratch: RefCell::default(),
         }
-    }
-
-    /// A handle to this agent's scoring scratch, for sharing.
-    pub fn scratch_handle(&self) -> Rc<RefCell<ScoreScratch>> {
-        Rc::clone(&self.scratch)
     }
 
     /// Number of assimilated observations.

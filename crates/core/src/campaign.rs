@@ -21,11 +21,11 @@
 //! [Intelligent × Swarm] + autonomous coordination.
 
 use crate::domain::MaterialsSpace;
-use crate::ledger::{CampaignEvent, CampaignLedger, EventBatch, KnowledgeSink, LedgerObserver};
+use crate::ledger::{CampaignEvent, CampaignLedger, EventBatch, LedgerObserver};
 use crate::matrix::Cell;
 use crate::planner::{Observation, PlanCtx, PlannerBuild, PlannerKind, PlannerTelemetry};
 use crate::profile::{Phase, PhaseProfiler};
-use evoflow_agents::{Candidate, Evidence, Pattern};
+use evoflow_agents::{Candidate, Evidence, LibrarianAgent, Pattern};
 use evoflow_facility::HumanModel;
 use evoflow_sim::{RngRegistry, SimDuration, SimTime};
 use evoflow_sm::IntelligenceLevel;
@@ -164,6 +164,148 @@ pub struct CampaignReport {
     pub prov_activities: usize,
     /// Total simulated inference tokens consumed.
     pub tokens: u64,
+}
+
+/// A campaign's report totals, folded one step at a time. The live loop
+/// folds each step as it happens and replay folds each recorded event,
+/// so a report and its replay come from this one derivation, float
+/// accumulation order included.
+#[derive(Debug)]
+pub(crate) struct CampaignTally {
+    experiments: u64,
+    total_hits: u64,
+    peaks: BTreeSet<usize>,
+    best_score: f64,
+    time_to_first: Option<SimTime>,
+    decision_wait_hours: f64,
+    execution_hours: f64,
+    rejected_proposals: u64,
+    omega_rewrites: u32,
+    tokens: u64,
+    /// When the batch being observed completes.
+    done_at: SimTime,
+}
+
+impl CampaignTally {
+    pub(crate) fn new() -> Self {
+        CampaignTally {
+            experiments: 0,
+            total_hits: 0,
+            peaks: BTreeSet::new(),
+            best_score: f64::NEG_INFINITY,
+            time_to_first: None,
+            decision_wait_hours: 0.0,
+            execution_hours: 0.0,
+            rejected_proposals: 0,
+            omega_rewrites: 0,
+            tokens: 0,
+            done_at: SimTime::ZERO,
+        }
+    }
+
+    /// Experiments observed so far.
+    pub(crate) fn experiments(&self) -> u64 {
+        self.experiments
+    }
+
+    /// A decision requested at `at` was ready at `ready`.
+    pub(crate) fn decided(&mut self, at: SimTime, ready: SimTime) {
+        self.decision_wait_hours += ready.saturating_since(at).as_hours();
+    }
+
+    /// A batch was charged `duration` and completes at `done_at`.
+    pub(crate) fn scheduled(&mut self, duration: SimDuration, done_at: SimTime) {
+        self.execution_hours += duration.as_hours();
+        self.done_at = done_at;
+    }
+
+    /// One experiment of the current batch measured `score`; a hit on a
+    /// new `peak` is a discovery, timed at the batch's completion.
+    pub(crate) fn observed(&mut self, score: f64, hit: bool, peak: Option<usize>) {
+        self.experiments += 1;
+        self.best_score = self.best_score.max(score);
+        if hit {
+            self.total_hits += 1;
+            if let Some(p) = peak {
+                self.peaks.insert(p);
+                self.time_to_first.get_or_insert(self.done_at);
+            }
+        }
+    }
+
+    /// The validation gate has rejected `rejected_total` proposals.
+    pub(crate) fn gated(&mut self, rejected_total: u64) {
+        self.rejected_proposals = rejected_total;
+    }
+
+    /// Ω has issued `rewrites_total` strategy rewrites.
+    pub(crate) fn rewritten(&mut self, rewrites_total: u32) {
+        self.omega_rewrites = rewrites_total;
+    }
+
+    /// The planner has consumed `tokens_total` inference tokens.
+    pub(crate) fn spent(&mut self, tokens_total: u64) {
+        self.tokens = tokens_total;
+    }
+
+    /// Best measured score (0 when no experiment ran).
+    fn best_score(&self) -> f64 {
+        if self.best_score.is_finite() {
+            self.best_score
+        } else {
+            0.0
+        }
+    }
+
+    /// The `CampaignFinished` event carrying every total, with the
+    /// knowledge-store counts the caller derived.
+    pub(crate) fn finished(&self, kg_nodes: usize, prov_activities: usize) -> CampaignEvent {
+        CampaignEvent::CampaignFinished {
+            experiments: self.experiments,
+            total_hits: self.total_hits,
+            distinct_discoveries: self.peaks.len(),
+            best_score: self.best_score(),
+            time_to_first_hours: self.time_to_first.map(SimTime::as_hours),
+            decision_wait_hours: self.decision_wait_hours,
+            execution_hours: self.execution_hours,
+            rejected_proposals: self.rejected_proposals,
+            omega_rewrites: self.omega_rewrites,
+            kg_nodes,
+            prov_activities,
+            tokens: self.tokens,
+        }
+    }
+
+    /// The report of a campaign labelled `cell_label` that ran for
+    /// `horizon`.
+    pub(crate) fn report(
+        &self,
+        cell_label: String,
+        horizon: SimDuration,
+        kg_nodes: usize,
+        prov_activities: usize,
+    ) -> CampaignReport {
+        let sim_days = horizon.as_hours() / 24.0;
+        let weeks = sim_days / 7.0;
+        CampaignReport {
+            cell_label,
+            experiments: self.experiments,
+            distinct_discoveries: self.peaks.len(),
+            total_hits: self.total_hits,
+            sim_days,
+            discoveries_per_week: self.peaks.len() as f64 / weeks.max(1e-9),
+            samples_per_day: self.experiments as f64 / sim_days.max(1e-9),
+            time_to_first_hours: self.time_to_first.map(SimTime::as_hours),
+            best_score: self.best_score(),
+            decision_wait_hours: self.decision_wait_hours,
+            execution_hours: self.execution_hours,
+            rejected_proposals: self.rejected_proposals,
+            omega_rewrites: self.omega_rewrites,
+            kg_nodes,
+            prov_activities,
+            tokens: self.tokens,
+        }
+    }
 }
 
 /// Per-candidate execution time: synthesis + characterization, with
@@ -342,27 +484,20 @@ fn best_visible<'a>(
 /// tracked separately and always visible.
 const EVIDENCE_WINDOW: usize = 96;
 
-/// Flush the pending event batch: the campaign's own knowledge sink
-/// first, then every caller-supplied observer, each via
-/// [`LedgerObserver::on_batch`] — order within the batch is emission
+/// Flush the pending event batch to every observer via
+/// [`LedgerObserver::on_batch`]: order within the batch is emission
 /// order, so sinks cannot distinguish this from per-event delivery.
 /// Timed as the *emit* phase; free when the batch is empty.
 fn flush_events(
     batch: &mut EventBatch,
     prof: &mut PhaseProfiler,
-    knowledge: &mut KnowledgeSink,
     observers: &mut [&mut dyn LedgerObserver],
 ) {
     if batch.pending() == 0 {
         return;
     }
     let t = prof.begin();
-    let n = batch.flush_with(|events| {
-        knowledge.on_batch(events);
-        for o in observers.iter_mut() {
-            o.on_batch(events);
-        }
-    });
+    let n = batch.flush(observers);
     prof.end_n(Phase::Emit, t, n as u64);
 }
 
@@ -389,11 +524,13 @@ pub fn run_campaign_recorded(
 /// given observers as it happens (live dashboards, metrics bridges,
 /// durable ledgers — see [`crate::ledger`] for the shipped sinks).
 ///
-/// Knowledge-graph + provenance ingestion is itself an observer now: the
-/// campaign installs a [`KnowledgeSink`] and reads its counts into the
-/// report, replacing the old in-line librarian branch. Events are only
-/// materialised when someone is listening (the sink is enabled, or
-/// `observers` is non-empty), so an unobserved run pays nothing.
+/// Events are only built when `observers` is non-empty, so an
+/// unobserved run pays nothing for them. The report never reads the
+/// stream: the loop folds each step into the same tally replay folds
+/// each event into, and the knowledge counts follow from the
+/// experiment count, since the librarian records one hypothesis →
+/// experiment → result per executed experiment (replay rebuilds the
+/// stores with a [`KnowledgeSink`](crate::ledger::KnowledgeSink)).
 pub fn run_campaign_observed(
     space: &MaterialsSpace,
     cfg: &CampaignConfig,
@@ -433,8 +570,7 @@ pub fn run_campaign_profiled(
     // The decide step is a pluggable Planner (constructed once, shared
     // across lanes — the Intelligence Service layer is a shared service,
     // Fig 2). Recording is part of the loop's *record* phase, not the
-    // decision policy: the knowledge sink (and any caller observers)
-    // consume the event stream the loop emits.
+    // decision policy: observers consume the event stream the loop emits.
     let planner_kind = cfg.effective_planner();
     let mut planner = planner_kind.build(&PlannerBuild {
         space,
@@ -453,14 +589,8 @@ pub fn run_campaign_profiled(
         None => cfg.cell.to_string(),
     };
     let records_knowledge = cfg.record_knowledge && planner.records_knowledge();
-    let mut knowledge = KnowledgeSink::new();
-    // Two emission tiers keep the unobserved hot path lean: `recording`
-    // gates the proposal/result events the knowledge sink consumes;
-    // `full_stream` additionally gates the iteration/telemetry events
-    // only external observers care about, so a knowledge-recording run
-    // with no observers never materialises them.
-    let recording = records_knowledge || !observers.is_empty();
-    let full_stream = !observers.is_empty();
+    // Events exist only for observers: an unobserved run builds none.
+    let observed = !observers.is_empty();
     // All events accumulate here and fan out in one `on_batch` call per
     // observer at iteration boundaries. The buffer keeps its capacity
     // across flushes, so after the first iteration the emission path
@@ -468,7 +598,7 @@ pub fn run_campaign_profiled(
     // planner descriptor are interned into the stream exactly once, in
     // `CampaignStarted` — no per-event string cloning.
     let mut batch = EventBatch::new();
-    if recording {
+    if observed {
         batch.push(CampaignEvent::CampaignStarted {
             cell_label: cell_label.clone().into(),
             seed: cfg.seed,
@@ -491,13 +621,7 @@ pub fn run_campaign_profiled(
         })
         .collect();
 
-    let mut experiments = 0u64;
-    let mut total_hits = 0u64;
-    let mut peaks_found: BTreeSet<usize> = BTreeSet::new();
-    let mut best_score = f64::NEG_INFINITY;
-    let mut time_to_first: Option<SimTime> = None;
-    let mut decision_wait_hours = 0.0;
-    let mut execution_hours = 0.0;
+    let mut tally = CampaignTally::new();
     let mut anchors = AnchorTracker::new(n_lanes);
 
     'campaign: loop {
@@ -508,7 +632,7 @@ pub fn run_campaign_profiled(
         if lanes[li].clock >= horizon {
             break 'campaign;
         }
-        if experiments >= cfg.max_experiments {
+        if tally.experiments() >= cfg.max_experiments {
             break 'campaign;
         }
         let now = lanes[li].clock;
@@ -524,8 +648,8 @@ pub fn run_campaign_profiled(
                 now + SimDuration::from_secs_f64(2.0 + 3.0 * decide_rng.uniform())
             }
         };
-        decision_wait_hours += decision_done.saturating_since(now).as_hours();
-        if full_stream {
+        tally.decided(now, decision_done);
+        if observed {
             batch.push(CampaignEvent::IterationStarted {
                 lane: li,
                 at: now,
@@ -579,7 +703,7 @@ pub fn run_campaign_profiled(
             prof.bump(Phase::ProposeScore, pctx.scored);
             prof.end(Phase::Propose, t);
         }
-        if recording {
+        if observed {
             for c in &chosen {
                 batch.push(CampaignEvent::CandidateProposed {
                     lane: li,
@@ -593,9 +717,9 @@ pub fn run_campaign_profiled(
 
         // ---- Execution phase --------------------------------------------
         let exec = execution_time(cfg.cell.composition, chosen.len().max(1), &mut exec_rng);
-        execution_hours += exec.as_hours();
         let done_at = decision_done + exec;
-        if full_stream {
+        tally.scheduled(exec, done_at);
+        if observed {
             batch.push(CampaignEvent::ExecutionScheduled {
                 lane: li,
                 batch: chosen.len(),
@@ -606,14 +730,12 @@ pub fn run_campaign_profiled(
 
         let mut iter_hits = 0u64;
         for c in &chosen {
-            if experiments >= cfg.max_experiments {
+            if tally.experiments() >= cfg.max_experiments {
                 break;
             }
-            experiments += 1;
             let t = prof.begin();
             let score = space.measure(&c.params, &mut meas_rng);
             prof.end(Phase::Execute, t);
-            best_score = best_score.max(score);
             let hit = space.is_discovery(score);
 
             // Feed the outcome back into the decision policy (surrogate
@@ -627,14 +749,13 @@ pub fn run_campaign_profiled(
             });
             prof.end(Phase::Observe, t);
             let peak = if hit { space.peak_of(&c.params) } else { None };
-            if recording {
-                // The knowledge sink pairs this with its buffered
-                // proposal — the *record* phase of the loop, now driven
-                // by the same stream every other sink sees.
+            tally.observed(score, hit, peak);
+            iter_hits += u64::from(hit);
+            if observed {
                 let usage = planner.token_usage();
                 batch.push(CampaignEvent::ResultObserved {
                     lane: li,
-                    experiment: experiments,
+                    experiment: tally.experiments(),
                     score,
                     hit,
                     peak,
@@ -652,16 +773,6 @@ pub fn run_campaign_profiled(
             if lanes[li].evidence.len() > EVIDENCE_WINDOW {
                 lanes[li].evidence.pop_front();
             }
-            if hit {
-                total_hits += 1;
-                iter_hits += 1;
-                if let Some(p) = peak {
-                    peaks_found.insert(p);
-                    if time_to_first.is_none() {
-                        time_to_first = Some(done_at);
-                    }
-                }
-            }
         }
 
         // ---- Meta-optimization (Ω) --------------------------------------
@@ -671,7 +782,7 @@ pub fn run_campaign_profiled(
         // back into decisions) — and ledger it only when observed.
         ensemble_events.clear();
         planner.drain_events(&mut ensemble_events);
-        if full_stream {
+        if observed {
             for event in ensemble_events.drain(..) {
                 batch.push(event);
             }
@@ -691,10 +802,6 @@ pub fn run_campaign_profiled(
                 });
             }
             last_telemetry = t;
-        }
-        if recording {
-            // The knowledge sink needs the iteration boundary too: it
-            // drops buffered proposals the budget cap kept from running.
             batch.push(CampaignEvent::IterationEnded {
                 lane: li,
                 proposed: chosen.len(),
@@ -702,66 +809,37 @@ pub fn run_campaign_profiled(
                 tokens_total: planner.token_usage().total(),
             });
         }
-        // Iteration boundary: one `on_batch` per sink for everything the
-        // iteration produced.
-        flush_events(&mut batch, prof, &mut knowledge, observers);
+        // Iteration boundary: one `on_batch` per observer for everything
+        // the iteration produced.
+        flush_events(&mut batch, prof, observers);
 
         lanes[li].clock = done_at;
     }
 
-    let sim_days = cfg.horizon.as_hours() / 24.0;
-    let weeks = sim_days / 7.0;
+    // No planner call follows the last iteration, so these are the
+    // totals its gate, Ω and iteration-end events carried.
     let telemetry = planner.telemetry();
-    let best_score = if best_score.is_finite() {
-        best_score
+    tally.gated(telemetry.rejected_proposals);
+    tally.rewritten(telemetry.omega_rewrites);
+    tally.spent(planner.token_usage().total());
+    // The librarian records one hypothesis → experiment → result per
+    // executed experiment; replay counts the records it pairs from the
+    // stream and checks them against these.
+    let records = if records_knowledge {
+        tally.experiments() as usize
     } else {
-        0.0
+        0
     };
-    let time_to_first_hours = time_to_first.map(|t| t.as_hours());
-    // The knowledge sink must have consumed every prior event before its
-    // counts are baked into `CampaignFinished` — drain any stragglers
-    // (free when, as usual, the loop exited on a clean iteration
-    // boundary).
-    flush_events(&mut batch, prof, &mut knowledge, observers);
-    if full_stream {
-        // Every stream-derived report total, recorded for the replay
-        // audit's integrity cross-check.
-        let (kg_nodes, prov_activities) = (knowledge.node_count(), knowledge.activity_count());
-        batch.push(CampaignEvent::CampaignFinished {
-            experiments,
-            total_hits,
-            distinct_discoveries: peaks_found.len(),
-            best_score,
-            time_to_first_hours,
-            decision_wait_hours,
-            execution_hours,
-            rejected_proposals: telemetry.rejected_proposals,
-            omega_rewrites: telemetry.omega_rewrites,
-            kg_nodes,
-            prov_activities,
-            tokens: planner.token_usage().total(),
-        });
-        flush_events(&mut batch, prof, &mut knowledge, observers);
+    let kg_nodes = records * LibrarianAgent::NODES_PER_ITERATION;
+    let prov_activities = records * LibrarianAgent::ACTIVITIES_PER_ITERATION;
+    if observed {
+        // Every report total, recorded for the replay audit's integrity
+        // cross-check.
+        batch.push(tally.finished(kg_nodes, prov_activities));
+        flush_events(&mut batch, prof, observers);
     }
     prof.add_batches(batch.flushes(), batch.emitted());
-    CampaignReport {
-        cell_label,
-        experiments,
-        distinct_discoveries: peaks_found.len(),
-        total_hits,
-        sim_days,
-        discoveries_per_week: peaks_found.len() as f64 / weeks.max(1e-9),
-        samples_per_day: experiments as f64 / sim_days.max(1e-9),
-        time_to_first_hours,
-        best_score,
-        decision_wait_hours,
-        execution_hours,
-        rejected_proposals: telemetry.rejected_proposals,
-        omega_rewrites: telemetry.omega_rewrites,
-        kg_nodes: knowledge.node_count(),
-        prov_activities: knowledge.activity_count(),
-        tokens: planner.token_usage().total(),
-    }
+    tally.report(cell_label, cfg.horizon, kg_nodes, prov_activities)
 }
 
 #[cfg(test)]

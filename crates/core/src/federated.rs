@@ -7,9 +7,10 @@
 //! This module closes that loop by routing a [`FleetConfig`]'s campaigns
 //! through a [`Federation`]:
 //!
-//! 1. **Placement.** A [`PlacementPolicy`] assigns each campaign — in
-//!    shard order, at a staggered arrival time — to one facility. Three
-//!    policies ship: [`PlacementPolicyKind::RoundRobin`] (capacity-aware
+//! 1. **Placement.** The configured [`PlacementPolicyKind`] assigns each
+//!    campaign — in shard order, at a staggered arrival time — to one
+//!    facility. Three policies ship:
+//!    [`PlacementPolicyKind::RoundRobin`] (capacity-aware
 //!    rotation), [`PlacementPolicyKind::LeastWait`] (queue-aware: asks
 //!    every facility when the job *would* start, from a projection of its
 //!    [`BatchScheduler`] cached until that queue changes, and picks the
@@ -81,11 +82,14 @@ use std::collections::BTreeMap;
 pub enum PlacementPolicyKind {
     /// Rotate over capacity-feasible facilities in site order.
     RoundRobin,
-    /// Queue-aware: ask each facility when the job would start
-    /// ([`Site::estimate_start`]) and pick the earliest.
+    /// Queue-aware: ask each facility when the job would start (from a
+    /// projection of its batch queue, cached until that queue changes)
+    /// and pick the earliest; site order breaks ties.
     LeastWait,
     /// Minimise inter-site data movement: place nearest (in transfer
-    /// time) to the campaign's data home.
+    /// time) to the campaign's data home; the estimated queue start
+    /// breaks ties, so two equally-near sites still prefer the emptier
+    /// queue.
     DataLocality,
 }
 
@@ -105,15 +109,6 @@ impl PlacementPolicyKind {
             PlacementPolicyKind::RoundRobin => "round-robin",
             PlacementPolicyKind::LeastWait => "least-wait",
             PlacementPolicyKind::DataLocality => "data-locality",
-        }
-    }
-
-    /// Instantiate the policy.
-    fn build(self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PlacementPolicyKind::RoundRobin => Box::new(RoundRobin { cursor: 0 }),
-            PlacementPolicyKind::LeastWait => Box::new(LeastWait),
-            PlacementPolicyKind::DataLocality => Box::new(DataLocality),
         }
     }
 }
@@ -272,14 +267,13 @@ pub fn campaign_demand(index: usize, cfg: &CampaignConfig, sites: usize) -> Camp
     }
 }
 
-/// A facility's live placement state, as policies see it.
-pub struct Site {
-    /// The site's static description.
-    pub spec: SiteSpec,
+/// A facility's live placement state.
+struct Site {
+    spec: SiteSpec,
     /// Its batch scheduler (already advanced to the current arrival).
-    pub scheduler: BatchScheduler,
+    scheduler: BatchScheduler,
     /// Whether the site has been drained by an outage.
-    pub down: bool,
+    down: bool,
     bytes_in: u128,
     job_owner: BTreeMap<JobId, usize>,
     rerouted_away: usize,
@@ -301,24 +295,20 @@ impl Site {
         }
     }
 
-    /// When a job of `nodes`×`walltime` arriving at `at` would start
-    /// here: [`BatchScheduler::estimate_start`], answered from a
-    /// projection cached until the scheduler changes, so probing every
-    /// site for every placement simulates each queue once per change
-    /// rather than once per probe.
-    pub fn estimate_start(
-        &self,
-        nodes: u64,
-        walltime: SimDuration,
-        at: SimTime,
-    ) -> Option<SimTime> {
+    /// When a job of `demand` arriving at `at` would start here:
+    /// [`BatchScheduler::estimate_start`], answered from a projection
+    /// cached until the scheduler changes, so probing every site for
+    /// every placement simulates each queue once per change rather than
+    /// once per probe.
+    fn estimate_start(&self, demand: &CampaignDemand, at: SimTime) -> Option<SimTime> {
         let start = self
             .projection
             .get_or_init(|| self.scheduler.projection())
-            .estimate_start(nodes, walltime, at);
+            .estimate_start(demand.nodes, demand.walltime, at);
         debug_assert_eq!(
             start,
-            self.scheduler.estimate_start(nodes, walltime, at),
+            self.scheduler
+                .estimate_start(demand.nodes, demand.walltime, at),
             "stale start projection at {}",
             self.spec.name
         );
@@ -329,122 +319,6 @@ impl Site {
     /// `scheduler`.
     fn scheduler_changed(&mut self) {
         self.projection.take();
-    }
-}
-
-/// One placement request, as policies see it.
-pub struct PlacementRequest<'a> {
-    /// Campaign (shard) index being placed.
-    pub campaign: usize,
-    /// Arrival time at the federation.
-    pub arrival: SimTime,
-    /// The campaign's demand.
-    pub demand: &'a CampaignDemand,
-    /// Name of the site holding the campaign's input data.
-    pub data_home: &'a str,
-}
-
-/// A deterministic placement policy: given the capacity-feasible
-/// candidate sites (indices into `sites`, always non-empty), pick one.
-///
-/// Policies must be pure functions of their inputs and their own state —
-/// never of wall-clock time or thread identity — so federated reports
-/// stay byte-identical at any parallelism.
-pub trait PlacementPolicy {
-    /// Stable policy name.
-    fn name(&self) -> &'static str;
-    /// Choose one of `candidates`.
-    fn place(
-        &mut self,
-        req: &PlacementRequest<'_>,
-        candidates: &[usize],
-        sites: &[Site],
-        federation: &Federation,
-    ) -> usize;
-}
-
-/// Capacity-aware rotation over candidate sites.
-struct RoundRobin {
-    cursor: usize,
-}
-
-impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        PlacementPolicyKind::RoundRobin.label()
-    }
-
-    fn place(
-        &mut self,
-        _req: &PlacementRequest<'_>,
-        candidates: &[usize],
-        _sites: &[Site],
-        _federation: &Federation,
-    ) -> usize {
-        let pick = candidates[self.cursor % candidates.len()];
-        self.cursor += 1;
-        pick
-    }
-}
-
-/// Queue-aware least-wait: exact start-time estimates from each
-/// candidate ([`Site::estimate_start`]); earliest start wins, site order
-/// breaks ties.
-struct LeastWait;
-
-impl PlacementPolicy for LeastWait {
-    fn name(&self) -> &'static str {
-        PlacementPolicyKind::LeastWait.label()
-    }
-
-    fn place(
-        &mut self,
-        req: &PlacementRequest<'_>,
-        candidates: &[usize],
-        sites: &[Site],
-        _federation: &Federation,
-    ) -> usize {
-        candidates
-            .iter()
-            .copied()
-            .min_by_key(|&i| {
-                sites[i]
-                    .estimate_start(req.demand.nodes, req.demand.walltime, req.arrival)
-                    .map_or(u64::MAX, SimTime::as_nanos)
-            })
-            .expect("candidates is non-empty")
-    }
-}
-
-/// Data-locality: minimise the fabric transfer time of the campaign's
-/// input from its home site; estimated queue start breaks ties (so two
-/// equally-near sites still prefer the emptier queue).
-struct DataLocality;
-
-impl PlacementPolicy for DataLocality {
-    fn name(&self) -> &'static str {
-        PlacementPolicyKind::DataLocality.label()
-    }
-
-    fn place(
-        &mut self,
-        req: &PlacementRequest<'_>,
-        candidates: &[usize],
-        sites: &[Site],
-        federation: &Federation,
-    ) -> usize {
-        candidates
-            .iter()
-            .copied()
-            .min_by_key(|&i| {
-                let move_nanos = federation
-                    .estimate_transfer(req.data_home, &sites[i].spec.name, req.demand.input_gb)
-                    .map_or(u64::MAX, |p| p.duration.as_nanos());
-                let start_nanos = sites[i]
-                    .estimate_start(req.demand.nodes, req.demand.walltime, req.arrival)
-                    .map_or(u64::MAX, SimTime::as_nanos);
-                (move_nanos, start_nanos)
-            })
-            .expect("candidates is non-empty")
     }
 }
 
@@ -638,9 +512,16 @@ struct PlacementOutcome {
     events: Vec<CampaignEvent>,
 }
 
-/// Mutable state of the placement pass: live sites, the federation
-/// (fabric accounting), per-campaign demands and accumulators.
+/// Mutable state of the placement pass: the policy, live sites, the
+/// federation (fabric accounting), per-campaign demands and accumulators.
+///
+/// Placement is a pure function of this state — never of wall-clock time
+/// or thread identity — so federated reports stay byte-identical at any
+/// parallelism.
 struct PlacementState {
+    policy: PlacementPolicyKind,
+    /// Round-robin's rotation over the candidate list.
+    cursor: usize,
     sites: Vec<Site>,
     federation: Federation,
     demands: Vec<CampaignDemand>,
@@ -651,17 +532,16 @@ struct PlacementState {
 }
 
 impl PlacementState {
-    /// Place one campaign: pick among live, capacity-feasible sites,
-    /// submit the batch job, stage the input data over the fabric from
-    /// `data_from` (the campaign's home site, or the drained facility on
-    /// an evacuation re-route). Emits the placement (and any transfer)
-    /// into the federation's event stream.
+    /// Place one campaign: pick among live, capacity-feasible sites under
+    /// the policy, submit the batch job, stage the input data over the
+    /// fabric from `data_from` (the campaign's home site, or the drained
+    /// facility on an evacuation re-route). Emits the placement (and any
+    /// transfer) into the federation's event stream.
     fn place_one(
         &mut self,
         campaign: usize,
         arrival: SimTime,
         data_from: &str,
-        policy: &mut dyn PlacementPolicy,
         evacuation: bool,
     ) -> Result<(), FederatedError> {
         let demand = self.demands[campaign];
@@ -674,14 +554,36 @@ impl PlacementState {
                 nodes: demand.nodes,
             });
         }
-        let req = PlacementRequest {
-            campaign,
-            arrival,
-            demand: &demand,
-            data_home: data_from,
+        const NON_EMPTY: &str = "place_one refuses NoCapacity before a policy sees an empty list";
+        let sites = &self.sites;
+        let start = |i: usize| {
+            sites[i]
+                .estimate_start(&demand, arrival)
+                .map_or(u64::MAX, SimTime::as_nanos)
         };
-        let chosen = policy.place(&req, &candidates, &self.sites, &self.federation);
-        debug_assert!(candidates.contains(&chosen), "policy must pick a candidate");
+        let chosen = match self.policy {
+            PlacementPolicyKind::RoundRobin => {
+                let pick = candidates[self.cursor % candidates.len()];
+                self.cursor += 1;
+                pick
+            }
+            PlacementPolicyKind::LeastWait => candidates
+                .iter()
+                .copied()
+                .min_by_key(|&i| start(i))
+                .expect(NON_EMPTY),
+            PlacementPolicyKind::DataLocality => candidates
+                .iter()
+                .copied()
+                .min_by_key(|&i| {
+                    let move_nanos = self
+                        .federation
+                        .estimate_transfer(data_from, &sites[i].spec.name, demand.input_gb)
+                        .map_or(u64::MAX, |p| p.duration.as_nanos());
+                    (move_nanos, start(i))
+                })
+                .expect(NON_EMPTY),
+        };
         let site = &mut self.sites[chosen];
         let id = site
             .scheduler
@@ -700,7 +602,10 @@ impl PlacementState {
             let plan = self
                 .federation
                 .transfer(data_from, &dest, demand.input_gb)
-                .expect("federation fabric is connected");
+                .expect(
+                    "the fabric connects every configured site: Federation::assemble chains \
+                     them and the Figure 3 fabric links all five presets",
+                );
             self.transfer_secs[campaign] += plan.duration.as_secs_f64();
             self.sites[chosen].bytes_in += (demand.input_gb * 1e9) as u128;
             self.events.push(CampaignEvent::DataTransferred {
@@ -719,12 +624,7 @@ impl PlacementState {
     /// Drain site `s` at `at` (the outage): running jobs complete, every
     /// queued job is re-routed through the policy to the survivors, with
     /// a data-evacuation transfer off the drained facility.
-    fn drain_site(
-        &mut self,
-        s: usize,
-        at: SimTime,
-        policy: &mut dyn PlacementPolicy,
-    ) -> Result<(), FederatedError> {
+    fn drain_site(&mut self, s: usize, at: SimTime) -> Result<(), FederatedError> {
         if self.sites[s].down {
             return Ok(());
         }
@@ -744,9 +644,9 @@ impl PlacementState {
             let campaign = *self.sites[s]
                 .job_owner
                 .get(&job.id)
-                .expect("queued job was placed by us");
+                .expect("every queued job was submitted by place_one");
             self.rerouted[campaign] = true;
-            self.place_one(campaign, at, &from, policy, true)?;
+            self.place_one(campaign, at, &from, true)?;
         }
         Ok(())
     }
@@ -784,6 +684,8 @@ fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError
 
     let n = cfg.fleet.campaigns.len();
     let mut state = PlacementState {
+        policy: cfg.policy,
+        cursor: 0,
         sites: cfg.sites.iter().map(Site::new).collect(),
         federation,
         demands: cfg
@@ -798,7 +700,6 @@ fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError
         rerouted: vec![false; n],
         events: Vec::new(),
     };
-    let mut policy = cfg.policy.build();
     let outage = cfg.outage();
 
     for i in 0..n {
@@ -808,12 +709,12 @@ fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError
         // this and later placements see the reduced federation.
         if let Some(o) = outage {
             if i == o.after_placements as usize && (o.site as usize) < state.sites.len() {
-                state.drain_site(o.site as usize, arrival, policy.as_mut())?;
+                state.drain_site(o.site as usize, arrival)?;
             }
         }
         let home = state.demands[i].data_home.min(cfg.sites.len() - 1);
         let home_name = cfg.sites[home].name.clone();
-        state.place_one(i, arrival, &home_name, policy.as_mut(), false)?;
+        state.place_one(i, arrival, &home_name, false)?;
     }
 
     // Drain every scheduler and fold the finished records.

@@ -53,7 +53,7 @@
 //! assert_eq!(replayed.provenance.activity_count(), live.prov_activities);
 //! ```
 
-use crate::campaign::CampaignReport;
+use crate::campaign::{CampaignReport, CampaignTally};
 use crate::fleet::{execute_fleet_tasks_steal_timed, worker_threads, FleetReport};
 use crate::service::RejectReason;
 use evoflow_agents::{Candidate, LibrarianAgent};
@@ -62,7 +62,7 @@ use evoflow_knowledge::{KnowledgeGraph, ProvenanceStore};
 use evoflow_sim::{MetricsRegistry, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 pub mod wire;
 
@@ -400,12 +400,10 @@ pub trait LedgerObserver {
 ///
 /// `run_campaign_observed` pushes events here instead of fanning each one
 /// out to every observer immediately, then flushes at iteration
-/// boundaries (and before any point that *reads* a sink, e.g. the
-/// knowledge counts baked into `CampaignFinished`). The backing `Vec`
-/// keeps its capacity across flushes, so after the first iteration the
-/// emission path allocates nothing for batch bookkeeping. Flushing
-/// preserves emission order exactly — observers cannot distinguish a
-/// batched producer from a per-event one.
+/// boundaries. The backing `Vec` keeps its capacity across flushes, so
+/// after the first iteration the emission path allocates nothing for
+/// batch bookkeeping. Flushing preserves emission order exactly —
+/// observers cannot distinguish a batched producer from a per-event one.
 #[derive(Debug, Default)]
 pub struct EventBatch {
     buf: Vec<CampaignEvent>,
@@ -434,23 +432,12 @@ impl EventBatch {
     /// (retaining its capacity). Empty flushes are free and uncounted.
     /// Returns the number of events delivered.
     pub fn flush(&mut self, observers: &mut [&mut dyn LedgerObserver]) -> usize {
-        self.flush_with(|events| {
-            for obs in observers.iter_mut() {
-                obs.on_batch(events);
-            }
-        })
-    }
-
-    /// Like [`flush`](Self::flush), but hands the pending slice to an
-    /// arbitrary delivery closure — for producers whose fan-out is not a
-    /// plain observer slice (e.g. a campaign delivering to its own
-    /// knowledge sink before the caller's observers). Returns the number
-    /// of events delivered; the closure is not called on an empty batch.
-    pub fn flush_with(&mut self, deliver: impl FnOnce(&[CampaignEvent])) -> usize {
         if self.buf.is_empty() {
             return 0;
         }
-        deliver(&self.buf);
+        for obs in observers.iter_mut() {
+            obs.on_batch(&self.buf);
+        }
         let n = self.buf.len();
         self.flushes += 1;
         self.emitted += n as u64;
@@ -526,9 +513,8 @@ impl FleetLedger {
     }
 }
 
-/// Records the knowledge graph and PROV provenance store the event
-/// stream implies — the librarian's old in-line duty in `run_campaign`,
-/// now a sink like any other. Configures itself from
+/// Records the knowledge graph and PROV provenance store an event stream
+/// implies, the librarian's duty as a sink. Configures itself from
 /// [`CampaignEvent::CampaignStarted`] (threshold + whether recording is
 /// on), buffers proposals, and logs one hypothesis → experiment → result
 /// record per observed result.
@@ -538,7 +524,10 @@ impl FleetLedger {
 /// derives its counts from the log's length and the librarian's
 /// per-iteration constants, and replays the log through
 /// `record_iteration`, in order, in [`into_stores`](Self::into_stores).
-/// A live campaign and a fleet replay only read the counts.
+/// Replay feeds one every campaign event: its counts are the
+/// stream-derived side of the audit's `kg_nodes` and `prov_activities`
+/// checks, and [`replay_ledger`] builds the stores from it. A live
+/// campaign runs none; its counts follow from its experiment count.
 #[derive(Debug, Default)]
 pub struct KnowledgeSink {
     log: Vec<KnowledgeRecord>,
@@ -854,9 +843,10 @@ pub struct ReplayOutcome {
 /// Reconstruct a [`CampaignReport`] (and the provenance + knowledge
 /// stores) purely from a campaign's event stream.
 ///
-/// The replay performs exactly the aggregation the live loop performs, in
-/// the same order — floating-point accumulations included — so the
-/// rebuilt report is **byte-identical** to the live one. The terminal
+/// The replay folds each event into the same tally the live loop folds
+/// each step into, in the same order — floating-point accumulations
+/// included — so the rebuilt report is **byte-identical** to the live
+/// one. The terminal
 /// [`CampaignFinished`](CampaignEvent::CampaignFinished) event carries
 /// every stream-derived report total, and each one is cross-checked
 /// (floats bit-exactly) against the replayed stream; any disagreement is
@@ -875,31 +865,20 @@ pub fn replay_ledger(ledger: &CampaignLedger) -> Result<ReplayOutcome, ReplayErr
     fold.finish()
 }
 
-/// The incremental state of an in-flight replay: exactly the
-/// aggregation [`replay_ledger`] performs, exposed event-at-a-time so
-/// the binary [wire](crate::ledger::wire) reader can replay a stream
-/// without ever materialising a `Vec<CampaignEvent>` — memory stays
-/// bounded by one decoded event plus the [`KnowledgeSink`]'s log,
-/// however long the ledger. Float accumulation order is identical to
-/// the live loop's, so the finished report stays byte-identical either
-/// way.
+/// The incremental state of an in-flight replay, exposed
+/// event-at-a-time so the binary [wire](crate::ledger::wire) reader can
+/// replay a stream without ever materialising a `Vec<CampaignEvent>` —
+/// memory stays bounded by one decoded event plus the
+/// [`KnowledgeSink`]'s log, however long the ledger. Each event folds
+/// into the [`CampaignTally`] the live loop folds its steps into, so the
+/// finished report stays byte-identical either way.
 #[derive(Debug)]
 pub(crate) struct ReplayFold {
     sink: KnowledgeSink,
+    tally: CampaignTally,
     index: usize,
     cell_label: Cow<'static, str>,
     horizon: SimDuration,
-    experiments: u64,
-    total_hits: u64,
-    peaks: BTreeSet<usize>,
-    best_score: f64,
-    time_to_first: Option<SimTime>,
-    decision_wait_hours: f64,
-    execution_hours: f64,
-    rejected_proposals: u64,
-    omega_rewrites: u32,
-    tokens: u64,
-    current_done_at: SimTime,
     finished: Option<CampaignEvent>,
 }
 
@@ -907,20 +886,10 @@ impl ReplayFold {
     pub(crate) fn new() -> Self {
         ReplayFold {
             sink: KnowledgeSink::new(),
+            tally: CampaignTally::new(),
             index: 0,
             cell_label: Cow::Borrowed(""),
             horizon: SimDuration::ZERO,
-            experiments: 0,
-            total_hits: 0,
-            peaks: BTreeSet::new(),
-            best_score: f64::NEG_INFINITY,
-            time_to_first: None,
-            decision_wait_hours: 0.0,
-            execution_hours: 0.0,
-            rejected_proposals: 0,
-            omega_rewrites: 0,
-            tokens: 0,
-            current_done_at: SimTime::ZERO,
             finished: None,
         }
     }
@@ -960,39 +929,22 @@ impl ReplayFold {
             }
             CampaignEvent::IterationStarted {
                 at, decision_ready, ..
-            } => {
-                self.decision_wait_hours += decision_ready.saturating_since(*at).as_hours();
-            }
+            } => self.tally.decided(*at, *decision_ready),
             CampaignEvent::CandidateProposed { .. } => {}
             CampaignEvent::ExecutionScheduled {
                 duration, done_at, ..
-            } => {
-                self.execution_hours += duration.as_hours();
-                self.current_done_at = *done_at;
-            }
+            } => self.tally.scheduled(*duration, *done_at),
             CampaignEvent::ResultObserved {
                 score, hit, peak, ..
-            } => {
-                self.experiments += 1;
-                self.best_score = self.best_score.max(*score);
-                if *hit {
-                    self.total_hits += 1;
-                    if let Some(p) = peak {
-                        self.peaks.insert(*p);
-                        if self.time_to_first.is_none() {
-                            self.time_to_first = Some(self.current_done_at);
-                        }
-                    }
-                }
-            }
+            } => self.tally.observed(*score, *hit, *peak),
             CampaignEvent::GateDecision { rejected_total, .. } => {
-                self.rejected_proposals = *rejected_total;
+                self.tally.gated(*rejected_total);
             }
             CampaignEvent::OmegaRewrite { rewrites_total, .. } => {
-                self.omega_rewrites = *rewrites_total;
+                self.tally.rewritten(*rewrites_total);
             }
             CampaignEvent::IterationEnded { tokens_total, .. } => {
-                self.tokens = *tokens_total;
+                self.tally.spent(*tokens_total);
             }
             // Cooperative-transcript events: pure audit trail. They carry
             // no report-shifting totals, so the fold only has to accept
@@ -1032,99 +984,23 @@ impl ReplayFold {
         Ok(self.audit()?.0)
     }
 
-    /// Cross-check the recorded totals; yield the report and the sink
-    /// that holds the knowledge log.
+    /// Cross-check the recorded `CampaignFinished` against the tally's,
+    /// total by total; yield the report and the sink that holds the
+    /// knowledge log. An edit anywhere in the stream that shifts any
+    /// report field (times, tokens, gate counts, store sizes, scores)
+    /// surfaces here as a typed refusal.
     fn audit(self) -> Result<(CampaignReport, KnowledgeSink), ReplayError> {
         if self.index == 0 {
             return Err(ReplayError::Empty);
         }
-        let Some(CampaignEvent::CampaignFinished {
-            experiments: fin_experiments,
-            total_hits: fin_hits,
-            distinct_discoveries: fin_distinct,
-            best_score: fin_best,
-            time_to_first_hours: fin_ttf,
-            decision_wait_hours: fin_wait,
-            execution_hours: fin_exec,
-            rejected_proposals: fin_rejected,
-            omega_rewrites: fin_omega,
-            kg_nodes: fin_kg,
-            prov_activities: fin_prov,
-            tokens: fin_tokens,
-        }) = self.finished
-        else {
+        let (kg_nodes, prov_activities) = (self.sink.node_count(), self.sink.activity_count());
+        let (Some(recorded), Some(replayed)) = (
+            self.finished.as_ref().and_then(finished_totals),
+            finished_totals(&self.tally.finished(kg_nodes, prov_activities)),
+        ) else {
             return Err(ReplayError::Truncated);
         };
-        let best_score = if self.best_score.is_finite() {
-            self.best_score
-        } else {
-            0.0
-        };
-        let time_to_first_hours = self.time_to_first.map(|t| t.as_hours());
-        // Cross-check every reconstructed total against the recorded ones —
-        // floats bit-exactly. An edit anywhere in the stream that shifts any
-        // report field (times, tokens, gate counts, store sizes, scores)
-        // surfaces here as a typed refusal.
-        let bits = |x: f64| x.to_bits().to_string();
-        let opt_bits = |x: Option<f64>| match x {
-            Some(v) => format!("Some({})", v.to_bits()),
-            None => "None".to_string(),
-        };
-        let checks: [(&'static str, String, String); 12] = [
-            (
-                "experiments",
-                fin_experiments.to_string(),
-                self.experiments.to_string(),
-            ),
-            (
-                "total_hits",
-                fin_hits.to_string(),
-                self.total_hits.to_string(),
-            ),
-            (
-                "distinct_discoveries",
-                fin_distinct.to_string(),
-                self.peaks.len().to_string(),
-            ),
-            ("best_score", bits(fin_best), bits(best_score)),
-            (
-                "time_to_first_hours",
-                opt_bits(fin_ttf),
-                opt_bits(time_to_first_hours),
-            ),
-            (
-                "decision_wait_hours",
-                bits(fin_wait),
-                bits(self.decision_wait_hours),
-            ),
-            (
-                "execution_hours",
-                bits(fin_exec),
-                bits(self.execution_hours),
-            ),
-            (
-                "rejected_proposals",
-                fin_rejected.to_string(),
-                self.rejected_proposals.to_string(),
-            ),
-            (
-                "omega_rewrites",
-                fin_omega.to_string(),
-                self.omega_rewrites.to_string(),
-            ),
-            (
-                "kg_nodes",
-                fin_kg.to_string(),
-                self.sink.node_count().to_string(),
-            ),
-            (
-                "prov_activities",
-                fin_prov.to_string(),
-                self.sink.activity_count().to_string(),
-            ),
-            ("tokens", fin_tokens.to_string(), self.tokens.to_string()),
-        ];
-        for (field, recorded, replayed) in checks {
+        for ((field, recorded), (_, replayed)) in recorded.into_iter().zip(replayed) {
             if recorded != replayed {
                 return Err(ReplayError::IntegrityMismatch {
                     field,
@@ -1133,29 +1009,55 @@ impl ReplayFold {
                 });
             }
         }
-
-        let sim_days = self.horizon.as_hours() / 24.0;
-        let weeks = sim_days / 7.0;
-        let report = CampaignReport {
-            cell_label: self.cell_label.into_owned(),
-            experiments: self.experiments,
-            distinct_discoveries: self.peaks.len(),
-            total_hits: self.total_hits,
-            sim_days,
-            discoveries_per_week: self.peaks.len() as f64 / weeks.max(1e-9),
-            samples_per_day: self.experiments as f64 / sim_days.max(1e-9),
-            time_to_first_hours,
-            best_score,
-            decision_wait_hours: self.decision_wait_hours,
-            execution_hours: self.execution_hours,
-            rejected_proposals: self.rejected_proposals,
-            omega_rewrites: self.omega_rewrites,
-            kg_nodes: self.sink.node_count(),
-            prov_activities: self.sink.activity_count(),
-            tokens: self.tokens,
-        };
+        let report = self.tally.report(
+            self.cell_label.into_owned(),
+            self.horizon,
+            kg_nodes,
+            prov_activities,
+        );
         Ok((report, self.sink))
     }
+}
+
+/// The totals a `CampaignFinished` event carries, as `(field, value)` in
+/// declaration order, floats as their bit patterns so the integrity
+/// cross-check is bit-exact; `None` for any other event.
+fn finished_totals(event: &CampaignEvent) -> Option<[(&'static str, String); 12]> {
+    let CampaignEvent::CampaignFinished {
+        experiments,
+        total_hits,
+        distinct_discoveries,
+        best_score,
+        time_to_first_hours,
+        decision_wait_hours,
+        execution_hours,
+        rejected_proposals,
+        omega_rewrites,
+        kg_nodes,
+        prov_activities,
+        tokens,
+    } = event
+    else {
+        return None;
+    };
+    let bits = |x: &f64| x.to_bits().to_string();
+    Some([
+        ("experiments", experiments.to_string()),
+        ("total_hits", total_hits.to_string()),
+        ("distinct_discoveries", distinct_discoveries.to_string()),
+        ("best_score", bits(best_score)),
+        (
+            "time_to_first_hours",
+            time_to_first_hours.map_or("None".to_string(), |v| format!("Some({})", v.to_bits())),
+        ),
+        ("decision_wait_hours", bits(decision_wait_hours)),
+        ("execution_hours", bits(execution_hours)),
+        ("rejected_proposals", rejected_proposals.to_string()),
+        ("omega_rewrites", omega_rewrites.to_string()),
+        ("kg_nodes", kg_nodes.to_string()),
+        ("prov_activities", prov_activities.to_string()),
+        ("tokens", tokens.to_string()),
+    ])
 }
 
 /// Reconstruct a whole [`FleetReport`] from a fleet's merged ledger:

@@ -28,12 +28,13 @@
 //!   ([`fleet::FleetCheckpoint`] / [`fleet::resume_campaign_fleet`]).
 //!   Every fleet, federated and service run, kill and resume goes through
 //!   its one commit-slot driver and one resume handshake.
-//! * [`federated`] — facility-aware fleet scheduling: a pluggable
-//!   [`federated::PlacementPolicy`] (round-robin, queue-aware least-wait,
-//!   data-locality) places each campaign onto a federation facility,
-//!   charging simulated batch-queue wait and fabric data movement, with a
-//!   seeded facility-outage drain + deterministic re-routing, aggregated
-//!   into a thread-count-invariant [`federated::FederatedReport`].
+//! * [`federated`] — facility-aware fleet scheduling: a
+//!   [`federated::PlacementPolicyKind`] (round-robin, queue-aware
+//!   least-wait, data-locality) places each campaign onto a federation
+//!   facility, charging simulated batch-queue wait and fabric data
+//!   movement, with a seeded facility-outage drain + deterministic
+//!   re-routing, aggregated into a thread-count-invariant
+//!   [`federated::FederatedReport`].
 //! * [`ledger`] — the event-sourced audit substrate: one deterministic
 //!   [`ledger::CampaignEvent`] stream through campaign → fleet →
 //!   federated, pluggable [`ledger::LedgerObserver`] sinks (knowledge
@@ -89,8 +90,7 @@ pub use federated::{
     campaign_demand, resume_campaign_fleet_federated, run_campaign_fleet_federated,
     run_campaign_fleet_federated_recorded, run_campaign_fleet_federated_until, CampaignDemand,
     FacilityUsage, FederatedCheckpoint, FederatedConfig, FederatedError, FederatedReport,
-    FederatedResumeError, PlacementPolicy, PlacementPolicyKind, PlacementRecord, PlacementRequest,
-    SiteSpec,
+    FederatedResumeError, PlacementPolicyKind, PlacementRecord, SiteSpec,
 };
 pub use federation::{Federation, FederationError, Handshake};
 pub use fleet::{

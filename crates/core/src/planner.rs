@@ -36,13 +36,11 @@ use evoflow_agents::{
     AnalysisAgent, Candidate, DesignAgent, Evidence, HypothesisAgent, MetaOptimizerAgent, Strategy,
 };
 use evoflow_cogsim::{CognitiveModel, ModelProfile, TokenUsage};
-use evoflow_learn::{BanditPolicy, PsoConfig, ScoreScratch, ThompsonBeta, Ucb1};
+use evoflow_learn::{BanditPolicy, PsoConfig, ThompsonBeta, Ucb1};
 use evoflow_sim::{RngRegistry, SimRng};
 use evoflow_sm::IntelligenceLevel;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 mod ensemble;
 
@@ -318,18 +316,6 @@ impl PlannerKind {
 
     /// Build the planner for a campaign.
     pub fn build(&self, b: &PlannerBuild<'_>) -> Box<dyn Planner> {
-        self.build_with(b, None)
-    }
-
-    /// [`build`](Self::build) with an optional shared scoring scratch.
-    /// A [`Meta`](Self::Meta) pool passes one down so every
-    /// surrogate-backed child reuses the same candidate/score buffers —
-    /// proposals are sequential within a campaign, so sharing is safe.
-    fn build_with(
-        &self,
-        b: &PlannerBuild<'_>,
-        scratch: Option<&Rc<RefCell<ScoreScratch>>>,
-    ) -> Box<dyn Planner> {
         match self {
             PlannerKind::Grid => Box::new(GridPlanner::new(
                 b.dim,
@@ -338,11 +324,8 @@ impl PlannerKind {
             )),
             PlannerKind::Adaptive => Box::new(AdaptivePlanner::new(b.n_lanes)),
             PlannerKind::Evidence => Box::new(EvidencePlanner),
-            PlannerKind::Surrogate => Box::new(SurrogatePlanner::new(
-                b.space.threshold,
-                scratch.map(Rc::clone),
-            )),
-            PlannerKind::Agentic => Box::new(AgenticPlanner::new(b, scratch.map(Rc::clone))),
+            PlannerKind::Surrogate => Box::new(SurrogatePlanner::new(b.space.threshold)),
+            PlannerKind::Agentic => Box::new(AgenticPlanner::new(b)),
             PlannerKind::Bandit {
                 policy,
                 regions_per_dim,
@@ -367,14 +350,7 @@ impl PlannerKind {
                 if kinds.is_empty() {
                     kinds.push(PlannerKind::Evidence);
                 }
-                // One scratch for the whole pool: pooled surrogates
-                // score one batch at a time, so the buffers never
-                // contend and the pool allocates them once.
-                let pool_scratch = scratch.map(Rc::clone).unwrap_or_default();
-                let children = kinds
-                    .iter()
-                    .map(|k| k.build_with(b, Some(&pool_scratch)))
-                    .collect();
+                let children = kinds.iter().map(|k| k.build(b)).collect();
                 Box::new(MetaPlanner::new(children))
             }
             PlannerKind::Ensemble { specialists } => {
@@ -579,13 +555,9 @@ impl SurrogatePlanner {
     /// Candidates scored per acquisition scan.
     const POOL: usize = 48;
 
-    fn new(threshold: f64, scratch: Option<Rc<RefCell<ScoreScratch>>>) -> Self {
-        let analysis = match scratch {
-            Some(s) => AnalysisAgent::with_scratch(0.12, s),
-            None => AnalysisAgent::new(0.12),
-        };
+    fn new(threshold: f64) -> Self {
         SurrogatePlanner {
-            analysis,
+            analysis: AnalysisAgent::new(0.12),
             threshold,
         }
     }
@@ -631,7 +603,7 @@ pub struct AgenticPlanner {
 }
 
 impl AgenticPlanner {
-    fn new(b: &PlannerBuild<'_>, scratch: Option<Rc<RefCell<ScoreScratch>>>) -> Self {
+    fn new(b: &PlannerBuild<'_>) -> Self {
         let hypothesis = HypothesisAgent::new(
             CognitiveModel::new(
                 ModelProfile::reasoning_lrm(),
@@ -639,10 +611,7 @@ impl AgenticPlanner {
             ),
             b.dim,
         );
-        let mut analysis = match scratch {
-            Some(s) => AnalysisAgent::with_scratch(0.12, s),
-            None => AnalysisAgent::new(0.12),
-        };
+        let mut analysis = AnalysisAgent::new(0.12);
         // Literature bootstrap: mine the published record before the
         // first experiment runs.
         let corpus = b.space.literature_corpus(50, b.seed ^ 0xBEEF);

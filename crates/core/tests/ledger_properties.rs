@@ -5,18 +5,19 @@
 //!    `CampaignReport` (and identical provenance/knowledge stores) from
 //!    the serialized event stream alone.
 //! 2. **Observation transparency** — recording never changes a report:
-//!    `run_campaign_recorded` and `run_campaign` agree byte-for-byte.
+//!    `run_campaign_recorded` and an unobserved run agree byte-for-byte,
+//!    and the unobserved run builds no event.
 //! 3. **Fleet invariance** — the merged `FleetLedger` is byte-identical
 //!    at any thread count, and a coordinator kill + resume reproduces
 //!    both the report and the merged ledger exactly, so the crash leaves
 //!    no seam in the audit trail.
 
-use evoflow_agents::Pattern;
+use evoflow_agents::{LibrarianAgent, Pattern};
 use evoflow_core::{
-    replay_fleet_ledger, replay_ledger, resume_campaign_fleet_recorded, run_campaign,
-    run_campaign_fleet, run_campaign_fleet_recorded, run_campaign_fleet_recorded_until,
-    run_campaign_recorded, CampaignConfig, CampaignLedger, Cell, FleetConfig, MaterialsSpace,
-    PlannerKind, ReplayError,
+    replay_fleet_ledger, replay_ledger, resume_campaign_fleet_recorded, run_campaign_fleet,
+    run_campaign_fleet_recorded, run_campaign_fleet_recorded_until, run_campaign_profiled,
+    run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger, CampaignReport, Cell,
+    FleetConfig, MaterialsSpace, PhaseProfiler, PlannerKind, ReplayError,
 };
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
@@ -89,21 +90,88 @@ fn replay_rebuilds_identical_knowledge_stores() {
 }
 
 /// Recording is a pure observer: the recorded run's report equals the
-/// unobserved run's byte-for-byte, for every intelligence level.
+/// unobserved run's byte-for-byte, and replay rebuilds it, for every
+/// intelligence level, for every planner with the sample budget running
+/// out mid-batch, and for a campaign that runs no iteration. The live
+/// knowledge counts follow the rule replay checks them against: one
+/// librarian record per executed experiment whenever the ledger says
+/// knowledge is recorded. An unobserved run builds no event.
 #[test]
 fn recording_never_perturbs_the_campaign() {
     let space = space();
+    let mut configs = Vec::new();
     for level in IntelligenceLevel::ALL {
         let mut cfg = CampaignConfig::for_cell(Cell::new(level, Pattern::Pipeline), 23);
         cfg.horizon = SimDuration::from_days(1);
-        let plain = run_campaign(&space, &cfg);
-        let (recorded, ledger) = run_campaign_recorded(&space, &cfg);
-        assert_eq!(
-            serde_json::to_string(&plain).expect("serialize"),
-            serde_json::to_string(&recorded).expect("serialize"),
-            "{level:?} report changed under observation"
+        configs.push(cfg);
+    }
+    let mut planners = PlannerKind::all_concrete();
+    planners.push(PlannerKind::meta());
+    planners.push(PlannerKind::ensemble());
+    for planner in planners {
+        // Batches of 4: the third iteration runs 2 of its proposals.
+        let mut capped = planned_config(planner.clone(), Pattern::Mesh, 29);
+        capped.max_experiments = 10;
+        configs.push(capped);
+        let mut idle = planned_config(planner, Pattern::Swarm { k: 4 }, 31);
+        idle.horizon = SimDuration::ZERO;
+        configs.push(idle);
+    }
+    for cfg in &configs {
+        let label = format!(
+            "{} for {:?}",
+            cfg.effective_planner().descriptor(),
+            cfg.horizon
         );
-        assert!(!ledger.is_empty());
+        let mut prof = PhaseProfiler::enabled();
+        let plain = run_campaign_profiled(&space, cfg, &mut [], &mut prof);
+        assert_eq!(
+            prof.breakdown().events_emitted,
+            0,
+            "{label}: unobserved run built events"
+        );
+        let (recorded, ledger) = run_campaign_recorded(&space, cfg);
+        let replayed = replay_ledger(&ledger).expect("fresh ledger replays").report;
+        let json = |r: &CampaignReport| serde_json::to_string(r).expect("serialize");
+        assert_eq!(
+            json(&plain),
+            json(&recorded),
+            "{label}: report changed under observation"
+        );
+        assert_eq!(json(&replayed), json(&recorded), "{label}: replay diverged");
+
+        let Some(CampaignEvent::CampaignStarted {
+            records_knowledge, ..
+        }) = ledger.events.first()
+        else {
+            panic!("{label}: ledger does not open with CampaignStarted");
+        };
+        let records = if *records_knowledge {
+            plain.experiments as usize
+        } else {
+            0
+        };
+        assert_eq!(
+            (plain.kg_nodes, plain.prov_activities),
+            (
+                records * LibrarianAgent::NODES_PER_ITERATION,
+                records * LibrarianAgent::ACTIVITIES_PER_ITERATION
+            ),
+            "{label}: knowledge counts"
+        );
+        if cfg.max_experiments == 10 {
+            let proposed = ledger
+                .events
+                .iter()
+                .filter(|e| matches!(e, CampaignEvent::CandidateProposed { .. }))
+                .count();
+            assert_eq!(plain.experiments, 10, "{label}: budget");
+            assert!(proposed > 10, "{label}: budget did not cut a batch");
+        }
+        if cfg.horizon == SimDuration::ZERO {
+            assert_eq!(plain.experiments, 0, "{label}: zero horizon");
+            assert_eq!(ledger.len(), 2, "{label}: zero horizon");
+        }
     }
 }
 

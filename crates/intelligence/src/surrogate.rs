@@ -54,10 +54,9 @@ impl AccScratch {
 }
 
 /// Full scoring scratch for a propose loop: candidate buffer, score
-/// buffer, and the accumulator set, all reused across iterations. A
-/// planner pool (e.g. `MetaPlanner`'s surrogate-backed children) can
-/// share one behind an `Rc<RefCell<_>>` — proposals are sequential
-/// within a campaign, and every call resizes the buffers it uses.
+/// buffer, and the accumulator set, all reused across iterations. Each
+/// scorer (e.g. an analysis agent) owns one, and every call resizes the
+/// buffers it uses.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreScratch {
     /// Flat stride-`dim` candidate coordinates.
