@@ -13,8 +13,8 @@
 //!    [`PlacementPolicyKind::RoundRobin`] (capacity-aware
 //!    rotation), [`PlacementPolicyKind::LeastWait`] (queue-aware: asks
 //!    every facility when the job *would* start, from a projection of its
-//!    [`BatchScheduler`] cached until that queue changes, and picks the
-//!    earliest), and [`PlacementPolicyKind::DataLocality`]
+//!    [`BatchScheduler`] that each submission is spliced into, and picks
+//!    the earliest), and [`PlacementPolicyKind::DataLocality`]
 //!    (minimises inter-site movement of the campaign's input data over
 //!    the federation's data fabric).
 //! 2. **Charging.** The chosen facility's batch scheduler is charged the
@@ -32,8 +32,9 @@
 //!    placement records, and the fleet's existing [`FleetReport`].
 //!
 //! **Determinism.** Placement is a serial pure function of the
-//! [`FederatedConfig`] — it never observes worker threads — and campaign
-//! execution reuses the fleet executor's thread-invariant machinery, so a
+//! [`FederatedConfig`] — it never reads the fleet's results, so it runs
+//! on a thread of its own beside the fleet — and campaign execution
+//! reuses the fleet executor's thread-invariant machinery, so a
 //! [`FederatedReport`] is **byte-identical at any thread count**. The
 //! same holds across a crash: [`run_campaign_fleet_federated_until`]
 //! kills the coordinator after N commits and
@@ -83,8 +84,9 @@ pub enum PlacementPolicyKind {
     /// Rotate over capacity-feasible facilities in site order.
     RoundRobin,
     /// Queue-aware: ask each facility when the job would start (from a
-    /// projection of its batch queue, cached until that queue changes)
-    /// and pick the earliest; site order breaks ties.
+    /// projection of its batch queue, kept current by splicing in each
+    /// job the facility accepts) and pick the earliest; site order breaks
+    /// ties.
     LeastWait,
     /// Minimise inter-site data movement: place nearest (in transfer
     /// time) to the campaign's data home; the estimated queue start
@@ -277,8 +279,8 @@ struct Site {
     bytes_in: u128,
     job_owner: BTreeMap<JobId, usize>,
     rerouted_away: usize,
-    /// `scheduler`'s start projection, built by the first query after
-    /// the scheduler last changed.
+    /// `scheduler`'s start projection: built by the first query, spliced
+    /// on every submission, dropped when an outage drains the queue.
     projection: OnceCell<StartProjection>,
 }
 
@@ -296,10 +298,10 @@ impl Site {
     }
 
     /// When a job of `demand` arriving at `at` would start here:
-    /// [`BatchScheduler::estimate_start`], answered from a projection
-    /// cached until the scheduler changes, so probing every site for
-    /// every placement simulates each queue once per change rather than
-    /// once per probe.
+    /// [`BatchScheduler::estimate_start`], answered from the site's
+    /// projection, so probing every site for every placement re-simulates
+    /// only the part of a queue that a submission changed, never the
+    /// whole queue per probe.
     fn estimate_start(&self, demand: &CampaignDemand, at: SimTime) -> Option<SimTime> {
         let start = self
             .projection
@@ -315,8 +317,18 @@ impl Site {
         start
     }
 
-    /// Drop the cached projection; call after every change to
-    /// `scheduler`.
+    /// Submit `demand`'s batch job at `at`, splicing it into the
+    /// projection if one is built.
+    fn submit(&mut self, demand: &CampaignDemand, at: SimTime) -> JobId {
+        let id = self.scheduler.submit(demand.nodes, demand.walltime, at);
+        if let Some(projection) = self.projection.get_mut() {
+            projection.splice(&self.scheduler, demand.nodes, demand.walltime, at);
+        }
+        id
+    }
+
+    /// Drop the projection; call after every change to `scheduler` other
+    /// than [`Site::submit`].
     fn scheduler_changed(&mut self) {
         self.projection.take();
     }
@@ -585,10 +597,7 @@ impl PlacementState {
                 .expect(NON_EMPTY),
         };
         let site = &mut self.sites[chosen];
-        let id = site
-            .scheduler
-            .submit(demand.nodes, demand.walltime, arrival);
-        site.scheduler_changed();
+        let id = site.submit(&demand, arrival);
         site.job_owner.insert(id, campaign);
         let dest = site.spec.name.clone();
         self.events.push(CampaignEvent::CampaignPlaced {
@@ -815,6 +824,24 @@ fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError
     })
 }
 
+/// Run [`place_fleet`] on a scoped thread while the calling thread runs
+/// `fleet`, and return both. Placement never reads what the fleet
+/// computes, so overlapping them changes no report; the caller reports a
+/// placement error before anything the fleet returned.
+fn place_beside<T>(
+    cfg: &FederatedConfig,
+    fleet: impl FnOnce() -> T,
+) -> (Result<PlacementOutcome, FederatedError>, T) {
+    std::thread::scope(|scope| {
+        let placement = scope.spawn(|| place_fleet(cfg));
+        let fleet = fleet();
+        let placed = placement
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (placed, fleet)
+    })
+}
+
 fn assemble_report(
     cfg: &FederatedConfig,
     outcome: PlacementOutcome,
@@ -836,17 +863,16 @@ fn assemble_report(
 }
 
 /// Run a fleet of campaigns through a federation: place every campaign
-/// onto a facility, charge queue waits and data movement, execute the
-/// fleet with the thread-invariant executor, and aggregate.
+/// onto a facility, charging queue waits and data movement, while the
+/// thread-invariant executor runs the fleet, and aggregate.
 ///
 /// The report is byte-identical at any thread count.
 pub fn run_campaign_fleet_federated(
     space: &MaterialsSpace,
     cfg: &FederatedConfig,
 ) -> Result<FederatedReport, FederatedError> {
-    let outcome = place_fleet(cfg)?;
-    let fleet = run_campaign_fleet(space, &cfg.fleet);
-    Ok(assemble_report(cfg, outcome, fleet))
+    let (outcome, fleet) = place_beside(cfg, || run_campaign_fleet(space, &cfg.fleet));
+    Ok(assemble_report(cfg, outcome?, fleet))
 }
 
 /// Run a federated fleet with full event recording: the report embeds
@@ -858,33 +884,37 @@ pub fn run_campaign_fleet_federated_recorded(
     space: &MaterialsSpace,
     cfg: &FederatedConfig,
 ) -> Result<(FederatedReport, FleetLedger), FederatedError> {
-    let outcome = place_fleet(cfg)?;
-    let (fleet, ledger) = run_campaign_fleet_recorded(space, &cfg.fleet);
-    Ok((assemble_report(cfg, outcome, fleet), ledger))
+    let (outcome, (fleet, ledger)) =
+        place_beside(cfg, || run_campaign_fleet_recorded(space, &cfg.fleet));
+    Ok((assemble_report(cfg, outcome?, fleet), ledger))
 }
 
 /// Run a federated fleet until `max_completions` campaigns have
 /// committed, then die — the federated analogue of
-/// [`run_campaign_fleet_until`]. Placement feasibility is validated up
-/// front so a checkpoint is only ever written for a placeable federation.
+/// [`run_campaign_fleet_until`]. Placement runs beside the fleet and its
+/// error wins, so a checkpoint is only ever returned for a placeable
+/// federation.
 pub fn run_campaign_fleet_federated_until(
     space: &MaterialsSpace,
     cfg: &FederatedConfig,
     max_completions: usize,
 ) -> Result<FederatedCheckpoint, FederatedError> {
-    place_fleet(cfg)?;
-    let fleet = run_campaign_fleet_until(space, &cfg.fleet, max_completions);
+    let (outcome, fleet) = place_beside(cfg, || {
+        run_campaign_fleet_until(space, &cfg.fleet, max_completions)
+    });
+    outcome?;
     Ok(FederatedCheckpoint {
         placement_signature: cfg.placement_signature(),
         fleet,
     })
 }
 
-/// Resume an interrupted federated fleet: re-run only the campaigns that
-/// never committed, recompute the (pure, signature-validated) placement,
-/// and aggregate. Byte-identical to the uninterrupted
-/// [`run_campaign_fleet_federated`] report — at any thread count on
-/// either side of the crash.
+/// Resume an interrupted federated fleet: check the placement signature,
+/// then re-run only the campaigns that never committed while the (pure,
+/// signature-validated) placement is recomputed beside them, and
+/// aggregate. A placement error is reported before a fleet refusal.
+/// Byte-identical to the uninterrupted [`run_campaign_fleet_federated`]
+/// report — at any thread count on either side of the crash.
 pub fn resume_campaign_fleet_federated(
     space: &MaterialsSpace,
     cfg: &FederatedConfig,
@@ -897,9 +927,11 @@ pub fn resume_campaign_fleet_federated(
             config: config_sig,
         });
     }
-    let outcome = place_fleet(cfg).map_err(FederatedResumeError::Placement)?;
-    let fleet = resume_campaign_fleet(space, &cfg.fleet, &checkpoint.fleet)
-        .map_err(FederatedResumeError::Fleet)?;
+    let (outcome, fleet) = place_beside(cfg, || {
+        resume_campaign_fleet(space, &cfg.fleet, &checkpoint.fleet)
+    });
+    let outcome = outcome.map_err(FederatedResumeError::Placement)?;
+    let fleet = fleet.map_err(FederatedResumeError::Fleet)?;
     Ok(assemble_report(cfg, outcome, fleet))
 }
 
@@ -1040,6 +1072,95 @@ mod tests {
         );
     }
 
+    #[test]
+    fn every_entry_point_reports_a_placement_error_the_fleet_would_not() {
+        // The fleet itself can run; only placement fails, beside it.
+        let space = space();
+        let unplaceable = [
+            (
+                vec![SiteSpec::new("husk", FacilityKind::Hpc).with_nodes(0)],
+                FederatedError::NoCapacity {
+                    campaign: 0,
+                    nodes: 4,
+                },
+            ),
+            (Vec::new(), FederatedError::EmptyFederation),
+            (
+                vec![
+                    SiteSpec::new("twin", FacilityKind::Hpc),
+                    SiteSpec::new("twin", FacilityKind::Cloud),
+                ],
+                FederatedError::DuplicateSite("twin".into()),
+            ),
+        ];
+        for (sites, error) in unplaceable {
+            let cfg = FederatedConfig::new(fleet(2), PlacementPolicyKind::LeastWait, sites);
+            let refused = Some(error.clone());
+            assert_eq!(run_campaign_fleet_federated(&space, &cfg).err(), refused);
+            assert_eq!(
+                run_campaign_fleet_federated_recorded(&space, &cfg).err(),
+                refused
+            );
+            assert_eq!(
+                run_campaign_fleet_federated_until(&space, &cfg, 1).err(),
+                refused
+            );
+            // A checkpoint that matches the config's signature and fleet:
+            // only placement can refuse it.
+            let checkpoint = FederatedCheckpoint {
+                placement_signature: cfg.placement_signature(),
+                fleet: run_campaign_fleet_until(&space, &cfg.fleet, 1),
+            };
+            assert_eq!(
+                resume_campaign_fleet_federated(&space, &cfg, &checkpoint).err(),
+                Some(FederatedResumeError::Placement(error))
+            );
+        }
+    }
+
+    #[test]
+    fn resume_refuses_signature_then_placement_then_fleet() {
+        let space = space();
+        let cfg = config(PlacementPolicyKind::LeastWait, 2);
+        let ckpt = run_campaign_fleet_federated_until(&space, &cfg, 2).unwrap();
+        // A drifted federation that could not place either: the signature
+        // refuses it before placement runs.
+        let empty = FederatedConfig {
+            sites: Vec::new(),
+            ..cfg.clone()
+        };
+        assert_eq!(
+            resume_campaign_fleet_federated(&space, &empty, &ckpt).err(),
+            Some(FederatedResumeError::PlacementMismatch {
+                checkpoint: ckpt.placement_signature,
+                config: empty.placement_signature(),
+            })
+        );
+        // A fleet checkpoint of another fleet under a matching signature:
+        // placement refuses first when it fails, the fleet otherwise.
+        let mut other = fleet(2);
+        other.master_seed += 1;
+        let foreign = run_campaign_fleet_until(&space, &other, 2);
+        let husk = FederatedConfig {
+            sites: vec![SiteSpec::new("husk", FacilityKind::Hpc).with_nodes(0)],
+            ..cfg.clone()
+        };
+        let resume = |cfg: &FederatedConfig| {
+            let checkpoint = FederatedCheckpoint {
+                placement_signature: cfg.placement_signature(),
+                fleet: foreign.clone(),
+            };
+            resume_campaign_fleet_federated(&space, cfg, &checkpoint).err()
+        };
+        assert!(matches!(
+            resume(&husk),
+            Some(FederatedResumeError::Placement(
+                FederatedError::NoCapacity { .. }
+            ))
+        ));
+        assert!(matches!(resume(&cfg), Some(FederatedResumeError::Fleet(_))));
+    }
+
     /// A small, contended federation where batch queues actually form:
     /// two 24-node sites, every campaign demanding all 24 nodes at t=0.
     fn contended_config(policy: PlacementPolicyKind) -> FederatedConfig {
@@ -1118,6 +1239,73 @@ mod tests {
                 rerouted += downed.rerouted_away;
             }
             assert!(rerouted > 0, "{policy:?}: no seed re-routed queued work");
+        }
+    }
+
+    /// 1,050 campaigns cycling over the 15 cheap level × composition
+    /// cells, arriving every 2 minutes at the standard federation, which
+    /// they slightly oversubscribe, so queues grow deep enough for a
+    /// splice to keep completion batches. The outage drains site
+    /// `outage_site` two thirds of the way in.
+    fn deep_config(policy: PlacementPolicyKind, outage_site: u32) -> FederatedConfig {
+        let levels = [
+            IntelligenceLevel::Static,
+            IntelligenceLevel::Adaptive,
+            IntelligenceLevel::Learning,
+        ];
+        let compositions = [
+            Pattern::Single,
+            Pattern::Pipeline,
+            Pattern::Hierarchical,
+            Pattern::Mesh,
+            Pattern::Swarm { k: 4 },
+        ];
+        let cells: Vec<Cell> = levels
+            .iter()
+            .flat_map(|&l| compositions.iter().map(move |&p| Cell::new(l, p)))
+            .collect();
+        let mut f = FleetConfig::new(21);
+        f.horizon = SimDuration::from_days(1);
+        for i in 0..1_050 {
+            f.push_cell(cells[i % cells.len()], 1);
+        }
+        let mut cfg = FederatedConfig::standard(f, policy);
+        cfg.inter_arrival = SimDuration::from_mins(2);
+        cfg.outage_seed = (0..)
+            .find(|&seed| {
+                cfg.outage_seed = Some(seed);
+                cfg.outage().is_some_and(|o| {
+                    o.site == outage_site && (650..750).contains(&o.after_placements)
+                })
+            })
+            .map(Some)
+            .expect("some seed drains the site two thirds of the way in");
+        cfg
+    }
+
+    #[test]
+    fn spliced_projections_follow_a_deep_placement() {
+        // Debug builds check every splice against a fresh projection and
+        // every placement query against a fresh `estimate_start`; the
+        // outage re-routes queued work onto the survivors mid-run. Least
+        // wait queues work everywhere, so it loses the largest site;
+        // data locality keeps each campaign at its data's home, so it
+        // loses the 32-node `lightsource`, where that queue is deepest.
+        for (policy, outage_site) in [
+            (PlacementPolicyKind::LeastWait, 2),
+            (PlacementPolicyKind::DataLocality, 1),
+        ] {
+            let cfg = deep_config(policy, outage_site);
+            let outcome = place_fleet(&cfg).expect("sites have room");
+            assert_eq!(outcome.records.len(), 1_050);
+            let waited = outcome
+                .records
+                .iter()
+                .filter(|r| r.wait_hours > 0.0)
+                .count();
+            assert!(waited > 100, "{policy:?}: only {waited} campaigns queued");
+            let rerouted = outcome.records.iter().filter(|r| r.rerouted).count();
+            assert!(rerouted > 0, "{policy:?}: the outage re-routed nothing");
         }
     }
 

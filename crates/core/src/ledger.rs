@@ -1004,8 +1004,8 @@ impl ReplayFold {
             if recorded != replayed {
                 return Err(ReplayError::IntegrityMismatch {
                     field,
-                    recorded,
-                    replayed,
+                    recorded: recorded.render(),
+                    replayed: replayed.render(),
                 });
             }
         }
@@ -1019,10 +1019,28 @@ impl ReplayFold {
     }
 }
 
+/// One `CampaignFinished` total, compared raw: counts as they are, floats
+/// by their bit patterns, so the integrity cross-check is bit-exact.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Total {
+    Raw(u64),
+    MaybeRaw(Option<u64>),
+}
+
+impl Total {
+    /// The text an [`ReplayError::IntegrityMismatch`] reports.
+    fn render(self) -> String {
+        match self {
+            Total::Raw(n) => n.to_string(),
+            Total::MaybeRaw(None) => "None".to_string(),
+            Total::MaybeRaw(Some(n)) => format!("Some({n})"),
+        }
+    }
+}
+
 /// The totals a `CampaignFinished` event carries, as `(field, value)` in
-/// declaration order, floats as their bit patterns so the integrity
-/// cross-check is bit-exact; `None` for any other event.
-fn finished_totals(event: &CampaignEvent) -> Option<[(&'static str, String); 12]> {
+/// declaration order; `None` for any other event.
+fn finished_totals(event: &CampaignEvent) -> Option<[(&'static str, Total); 12]> {
     let CampaignEvent::CampaignFinished {
         experiments,
         total_hits,
@@ -1040,23 +1058,24 @@ fn finished_totals(event: &CampaignEvent) -> Option<[(&'static str, String); 12]
     else {
         return None;
     };
-    let bits = |x: &f64| x.to_bits().to_string();
+    let count = |n: usize| Total::Raw(n as u64);
+    let bits = |x: &f64| Total::Raw(x.to_bits());
     Some([
-        ("experiments", experiments.to_string()),
-        ("total_hits", total_hits.to_string()),
-        ("distinct_discoveries", distinct_discoveries.to_string()),
+        ("experiments", Total::Raw(*experiments)),
+        ("total_hits", Total::Raw(*total_hits)),
+        ("distinct_discoveries", count(*distinct_discoveries)),
         ("best_score", bits(best_score)),
         (
             "time_to_first_hours",
-            time_to_first_hours.map_or("None".to_string(), |v| format!("Some({})", v.to_bits())),
+            Total::MaybeRaw(time_to_first_hours.map(f64::to_bits)),
         ),
         ("decision_wait_hours", bits(decision_wait_hours)),
         ("execution_hours", bits(execution_hours)),
-        ("rejected_proposals", rejected_proposals.to_string()),
-        ("omega_rewrites", omega_rewrites.to_string()),
-        ("kg_nodes", kg_nodes.to_string()),
-        ("prov_activities", prov_activities.to_string()),
-        ("tokens", tokens.to_string()),
+        ("rejected_proposals", Total::Raw(*rejected_proposals)),
+        ("omega_rewrites", Total::Raw(u64::from(*omega_rewrites))),
+        ("kg_nodes", count(*kg_nodes)),
+        ("prov_activities", count(*prov_activities)),
+        ("tokens", Total::Raw(*tokens)),
     ])
 }
 
@@ -1276,28 +1295,57 @@ mod tests {
 
     #[test]
     fn replay_detects_tampered_totals() {
-        // stream only shows 1 experiment
-        let ledger = CampaignLedger {
-            events: vec![started(false), observed(1, 0.9), finished(2, 0.9)],
-        };
-        assert!(matches!(
-            replay_ledger(&ledger),
-            Err(ReplayError::IntegrityMismatch {
-                field: "experiments",
-                ..
+        let mismatch = |observed: CampaignEvent, finished: CampaignEvent| {
+            replay_ledger(&CampaignLedger {
+                events: vec![started(false), observed, finished],
             })
-        ));
-        // An edited score is caught even when the counts all agree.
-        let ledger = CampaignLedger {
-            events: vec![started(false), observed(1, 0.95), finished(1, 0.9)],
         };
-        assert!(matches!(
-            replay_ledger(&ledger),
+        let refused = |field, recorded: &str, replayed: &str| {
             Err(ReplayError::IntegrityMismatch {
-                field: "best_score",
-                ..
+                field,
+                recorded: recorded.to_string(),
+                replayed: replayed.to_string(),
             })
-        ));
+        };
+        // The stream only shows 1 experiment.
+        assert_eq!(
+            mismatch(observed(1, 0.9), finished(2, 0.9)),
+            refused("experiments", "2", "1")
+        );
+        // An edited score is caught even when the counts all agree, and
+        // floats render as their bit patterns.
+        assert_eq!(
+            mismatch(observed(1, 0.95), finished(1, 0.9)),
+            refused("best_score", "4606281698874543309", "4606732058837280358")
+        );
+        // The optional first-discovery time renders both of its shapes.
+        let mut no_first = finished(1, 0.9);
+        if let CampaignEvent::CampaignFinished {
+            time_to_first_hours,
+            ..
+        } = &mut no_first
+        {
+            *time_to_first_hours = None;
+        }
+        assert_eq!(
+            mismatch(observed(1, 0.9), no_first),
+            refused("time_to_first_hours", "None", "Some(0)")
+        );
+        let mut late_first = finished(1, 0.1);
+        if let CampaignEvent::CampaignFinished {
+            total_hits,
+            distinct_discoveries,
+            time_to_first_hours,
+            ..
+        } = &mut late_first
+        {
+            (*total_hits, *distinct_discoveries) = (0, 0);
+            *time_to_first_hours = Some(2.5);
+        }
+        assert_eq!(
+            mismatch(observed(1, 0.1), late_first),
+            refused("time_to_first_hours", "Some(4612811918334230528)", "None")
+        );
     }
 
     #[test]

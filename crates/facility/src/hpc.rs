@@ -5,7 +5,9 @@
 //! scheduler is a pure data structure over simulated time: `submit` jobs,
 //! then `advance_to(t)` processes starts/completions deterministically.
 //! A [`StartProjection`] records the scheduling passes ahead once, so
-//! that "when would this job start?" is a lookup, not a re-simulation.
+//! that "when would this job start?" is a lookup, not a re-simulation,
+//! and takes in each job submitted at the queue's tail by simulating
+//! again only from the completion batch where that job first matters.
 
 use evoflow_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -35,6 +37,23 @@ struct Running {
     job: Job,
     started: SimTime,
     ends: SimTime,
+}
+
+impl Running {
+    /// A job holding `nodes` until `ends`, as a projection's simulation
+    /// sees it: which job it is and when it started no longer matter.
+    fn holding(nodes: u64, ends: SimTime) -> Self {
+        Running {
+            job: Job {
+                id: JobId(u64::MAX),
+                nodes,
+                walltime: SimDuration::ZERO,
+                submitted: ends,
+            },
+            started: ends,
+            ends,
+        }
+    }
 }
 
 /// A finished job record.
@@ -140,7 +159,7 @@ impl BatchScheduler {
             walltime,
             submitted: at,
         });
-        self.schedule(|_| {});
+        self.schedule(|_, _| {});
         id
     }
 
@@ -148,11 +167,11 @@ impl BatchScheduler {
     pub fn advance_to(&mut self, t: SimTime) {
         while self.now < t {
             match self.next_end() {
-                Some(end) if end <= t => self.complete_through(end, |_| {}),
+                Some(end) if end <= t => self.complete_through(end, |_, _| {}),
                 _ => self.now = t,
             }
         }
-        self.schedule(|_| {});
+        self.schedule(|_, _| {});
     }
 
     /// Predict when a hypothetical job of `nodes`×`walltime` submitted at
@@ -163,7 +182,8 @@ impl BatchScheduler {
     /// Shorthand for `self.projection().estimate_start(..)`, so each call
     /// simulates the whole queue once. A caller probing the same
     /// scheduler more than once should keep the [`StartProjection`]
-    /// instead and rebuild it only after the scheduler changes.
+    /// instead, [`splice`](StartProjection::splice) each job it submits
+    /// into it, and rebuild it only after any other change.
     ///
     /// Returns `None` when the job can never run (`nodes` is zero or
     /// exceeds the cluster).
@@ -184,30 +204,46 @@ impl BatchScheduler {
     /// Drains a copy of the queue and running set (never the finished
     /// history): O(jobs × (queue + running · log running)) once, after
     /// which each query is a binary search plus a scan of the passes until
-    /// the job's start.
+    /// the job's start. [`StartProjection::splice`] keeps it current
+    /// across later submissions for a fraction of that.
     #[must_use]
     pub fn projection(&self) -> StartProjection {
+        let mut running: Vec<(SimTime, u64)> =
+            self.running.iter().map(|r| (r.ends, r.job.nodes)).collect();
+        running.sort_unstable();
+        let mut projection = StartProjection {
+            total_nodes: self.total_nodes,
+            now: self.now,
+            passes: Vec::new(),
+            rests: Vec::new(),
+            running,
+            queued: self
+                .queue
+                .iter()
+                .map(|job| Queued {
+                    nodes: job.nodes,
+                    walltime: job.walltime,
+                    pass: 0,
+                })
+                .collect(),
+        };
+        // The copy numbers its queue by position, so each start it
+        // records lands on the right `queued` entry.
         let mut sim = BatchScheduler {
             total_nodes: self.total_nodes,
-            queue: self.queue.clone(),
+            queue: (self.queue.iter().enumerate())
+                .map(|(i, job)| Job {
+                    id: JobId(i as u64),
+                    ..*job
+                })
+                .collect(),
             running: self.running.clone(),
             finished: Vec::new(),
-            next_id: self.next_id,
+            next_id: 0,
             now: self.now,
         };
-        let mut passes = Vec::new();
-        sim.schedule(|p| passes.push(p));
-        let mut rests = vec![passes.len() - 1];
-        while let Some(end) = sim.next_end() {
-            sim.complete_through(end, |p| passes.push(p));
-            rests.push(passes.len() - 1);
-        }
-        StartProjection {
-            total_nodes: self.total_nodes,
-            now: self.now,
-            passes,
-            rests,
-        }
+        projection.record_drain(&mut sim, true);
+        projection
     }
 
     /// Remove and return every job still waiting in the queue (submitted
@@ -230,7 +266,7 @@ impl BatchScheduler {
                 // The clock is saturated at `SimTime::MAX` and cannot
                 // advance, so every running job ends at this instant:
                 // complete them here instead of waiting for a later one.
-                self.complete_through(self.now, |_| {});
+                self.complete_through(self.now, |_, _| {});
             }
         }
         self.now
@@ -243,7 +279,7 @@ impl BatchScheduler {
 
     /// Set the clock to `end`, move every running job that ends by then
     /// to the finished history (in start order), and schedule.
-    fn complete_through(&mut self, end: SimTime, record: impl FnMut(Pass)) {
+    fn complete_through(&mut self, end: SimTime, record: impl FnMut(Pass, &[Running])) {
         self.now = end;
         let finished = &mut self.finished;
         self.running.retain(|r| {
@@ -263,11 +299,12 @@ impl BatchScheduler {
     /// FCFS head start + EASY backfill: the head of the queue reserves the
     /// earliest time enough nodes free up; later jobs may jump ahead only
     /// if [`admits`] lets them. Passes repeat until one starts nothing,
-    /// and each is handed to `record` once its starts are placed.
-    fn schedule(&mut self, mut record: impl FnMut(Pass)) {
+    /// and each is handed to `record`, with the jobs it started, once its
+    /// starts are placed.
+    fn schedule(&mut self, mut record: impl FnMut(Pass, &[Running])) {
         let mut free = self.nodes_free();
         loop {
-            let mut started_any = false;
+            let first_start = self.running.len();
 
             // Start the head while it fits.
             while let Some(head) = self.queue.front() {
@@ -277,7 +314,6 @@ impl BatchScheduler {
                 let job = self.queue.pop_front().expect("head exists");
                 free -= job.nodes;
                 self.start(job);
-                started_any = true;
             }
 
             // Backfill behind a blocked head.
@@ -293,19 +329,22 @@ impl BatchScheduler {
                         let job = self.queue.remove(i).expect("index valid");
                         free -= job.nodes;
                         self.start(job);
-                        started_any = true;
                     } else {
                         i += 1;
                     }
                 }
             }
 
-            record(Pass {
-                clock: self.now,
-                free,
-                blocked,
-            });
-            if !started_any {
+            let started = &self.running[first_start..];
+            record(
+                Pass {
+                    clock: self.now,
+                    free,
+                    blocked,
+                },
+                started,
+            );
+            if started.is_empty() {
                 break;
             }
         }
@@ -352,7 +391,7 @@ impl BatchScheduler {
 }
 
 /// The reservation a blocked queue head holds during one scheduling pass.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Reservation {
     /// When enough nodes free up for the head (its shadow time).
     shadow: SimTime,
@@ -363,7 +402,7 @@ struct Reservation {
 
 /// One scheduling pass, as seen by a job waiting at the queue's tail: it
 /// is the last backfill candidate, so it meets the pass's leftovers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Pass {
     /// Scheduler clock during the pass.
     clock: SimTime,
@@ -388,18 +427,29 @@ fn admits(
     nodes <= free && blocked.is_none_or(|r| now + walltime <= r.shadow || nodes <= r.spare)
 }
 
+/// A job queued when a projection was taken: its request and the pass of
+/// the projection's drain that starts it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Queued {
+    nodes: u64,
+    walltime: SimDuration,
+    pass: usize,
+}
+
 /// Every scheduling pass a [`BatchScheduler`] runs from one state until
 /// it drains, built by [`BatchScheduler::projection`]. Answers any number
-/// of start-time queries against that state without re-simulating it; it
-/// goes stale as soon as the scheduler changes.
+/// of start-time queries against that state without re-simulating it,
+/// and follows the scheduler through each job it submits by
+/// [`splice`](Self::splice); any other change (`advance_to`,
+/// `drain_queued`) needs a fresh projection.
 ///
 /// Exact, because a job submitted at the queue's tail changes nothing
-/// until it starts: in every pass it is the last backfill candidate, and
-/// once it reaches the head nothing waits behind it. So the passes of the
-/// drain without it are the passes it would see, and it starts in the
-/// first one whose EASY admission test, the same test the scheduler
-/// applies to its own queue, lets it in.
-#[derive(Debug, Clone)]
+/// until it starts or the queue ahead of it empties: in every pass before
+/// that it is the last backfill candidate, and it is turned away. So the
+/// passes of the drain without it are the passes it would see, and it
+/// starts in the first one whose EASY admission test, the same test the
+/// scheduler applies to its own queue, lets it in.
+#[derive(Debug, Clone, PartialEq)]
 pub struct StartProjection {
     total_nodes: u64,
     now: SimTime,
@@ -408,6 +458,10 @@ pub struct StartProjection {
     /// then the one after each batch of completions), the index of its
     /// last pass: the first a job submitted in that state meets.
     rests: Vec<usize>,
+    /// `(end, nodes)` of every job running at `now`, sorted.
+    running: Vec<(SimTime, u64)>,
+    /// Every job queued at `now`, in queue order.
+    queued: Vec<Queued>,
 }
 
 impl StartProjection {
@@ -424,12 +478,57 @@ impl StartProjection {
         if nodes > self.total_nodes || nodes == 0 {
             return None;
         }
-        // `submit` first runs `advance_to(at)`: every completion batch
-        // before `at`, and, if the clock has to move, the first batch at
-        // `at` itself. Zero-walltime jobs that batch starts stay running
-        // until the next advance, so later batches at `at` come after
-        // the submission.
         let at = at.max(self.now);
+        self.passes[self.rests[self.rest_at(at)]..]
+            .iter()
+            .find_map(|p| {
+                let clock = p.clock.max(at);
+                admits(nodes, walltime, clock, p.free, p.blocked).then_some(clock)
+            })
+    }
+
+    /// Take in the job `scheduler` has just accepted through
+    /// `submit(nodes, walltime, at)`, where `scheduler` is the one this
+    /// projection follows; afterwards the projection equals
+    /// `scheduler.projection()`, which a debug build asserts.
+    ///
+    /// The job waits at the queue's tail, so every pass before the first
+    /// in which it starts, or in which the queue ahead of it empties and
+    /// it becomes the head (from then on the head's reservation is its
+    /// own), stays as it was. The splice keeps every completion batch
+    /// before that pass and simulates again from the start of its batch.
+    /// Only a job that starts or heads the queue at once is projected
+    /// whole again.
+    pub fn splice(
+        &mut self,
+        scheduler: &BatchScheduler,
+        nodes: u64,
+        walltime: SimDuration,
+        at: SimTime,
+    ) {
+        let at = at.max(self.now);
+        let rest = self.rest_at(at);
+        let meets = self.rests[rest];
+        let matters = self.passes[meets..].iter().position(|p| {
+            p.blocked.is_none() || admits(nodes, walltime, p.clock.max(at), p.free, p.blocked)
+        });
+        match matters.map(|i| self.rests.partition_point(|&last| last < meets + i)) {
+            Some(batch) if batch > rest => self.resimulate_from(batch, rest, at, nodes, walltime),
+            _ => *self = scheduler.projection(),
+        }
+        debug_assert!(
+            *self == scheduler.projection(),
+            "spliced start projection differs from a fresh one"
+        );
+    }
+
+    /// Index into `rests` of the state a job submitted at `at` (no
+    /// earlier than `now`) meets. `submit` first runs `advance_to(at)`:
+    /// every completion batch before `at`, and, if the clock has to move,
+    /// the first batch at `at` itself. Zero-walltime jobs that batch
+    /// starts stay running until the next advance, so later batches at
+    /// `at` come after the submission.
+    fn rest_at(&self, at: SimTime) -> usize {
         let batches = &self.rests[1..];
         let mut rest = batches.partition_point(|&p| self.passes[p].clock < at);
         if at > self.now
@@ -439,10 +538,122 @@ impl StartProjection {
         {
             rest += 1;
         }
-        self.passes[self.rests[rest]..].iter().find_map(|p| {
-            let clock = p.clock.max(at);
-            admits(nodes, walltime, clock, p.free, p.blocked).then_some(clock)
-        })
+        rest
+    }
+
+    /// `(end, nodes)` of every job running once the scheduler rests in
+    /// state `rest`: those running at `now` or started since, less those
+    /// a completion batch has retired by then. A batch retires every job
+    /// that has ended by its clock, except the ones it starts itself.
+    fn running_at(&self, rest: usize) -> impl Iterator<Item = (SimTime, u64)> + '_ {
+        let last = self.rests[rest];
+        let clock = self.passes[last].clock;
+        let first = if rest == 0 {
+            0
+        } else {
+            self.rests[rest - 1] + 1
+        };
+        let earlier =
+            (self.running.iter().copied()).filter(move |&(ends, _)| rest == 0 || ends > clock);
+        let started = (self.queued.iter().filter(move |q| q.pass <= last)).filter_map(move |q| {
+            let ends = self.passes[q.pass].clock + q.walltime;
+            (q.pass >= first || ends > clock).then_some((ends, q.nodes))
+        });
+        earlier.chain(started)
+    }
+
+    /// The splice proper: the new job first matters in completion batch
+    /// `batch`, after rest state `rest`, the one its submission at `at`
+    /// meets. Keep the passes from that rest up to `batch`, renumbered
+    /// from the submission, and simulate the rest of the drain again from
+    /// the state before `batch`, the new job at the queue's tail.
+    fn resimulate_from(
+        &mut self,
+        batch: usize,
+        rest: usize,
+        at: SimTime,
+        nodes: u64,
+        walltime: SimDuration,
+    ) {
+        let meets = self.rests[rest];
+        let kept = self.rests[batch - 1] + 1;
+        let mut running: Vec<(SimTime, u64)> = self.running_at(rest).collect();
+        running.sort_unstable();
+        let sim_running = (self.running_at(batch - 1))
+            .map(|(ends, nodes)| Running::holding(nodes, ends))
+            .collect();
+        // The jobs still queued at the submission, renumbered; the new
+        // job's pass is only a placeholder past the kept ones, so that it
+        // joins the simulated queue like every job not yet started.
+        let resumes = kept - meets;
+        let mut queued: Vec<Queued> = (self.queued.iter().filter(|q| q.pass > meets))
+            .map(|q| Queued {
+                pass: q.pass - meets,
+                ..*q
+            })
+            .collect();
+        queued.push(Queued {
+            nodes,
+            walltime,
+            pass: resumes,
+        });
+        let queue = (queued.iter().enumerate())
+            .filter(|(_, q)| q.pass >= resumes)
+            .map(|(i, q)| Job {
+                id: JobId(i as u64),
+                nodes: q.nodes,
+                walltime: q.walltime,
+                submitted: at,
+            })
+            .collect();
+        let mut sim = BatchScheduler {
+            total_nodes: self.total_nodes,
+            queue,
+            running: sim_running,
+            finished: Vec::new(),
+            next_id: 0,
+            now: self.passes[kept - 1].clock.max(at),
+        };
+        self.passes.truncate(kept);
+        self.passes.drain(..meets);
+        // The submission's own pass meets the rest at the submit clock:
+        // the same leftovers, and a reservation that does not depend on
+        // the clock.
+        self.passes[0].clock = at;
+        self.rests.truncate(batch);
+        self.rests.drain(..rest);
+        for last in &mut self.rests {
+            *last -= meets;
+        }
+        self.now = at;
+        self.running = running;
+        self.queued = queued;
+        self.record_drain(&mut sim, false);
+    }
+
+    /// Drain `sim`, whose queued jobs are numbered by their index in
+    /// `queued`, recording every pass, the last pass of every rest state
+    /// and the pass each queued job starts in. With `settle`, `sim` may
+    /// not be at rest yet and its first rest is recorded too; without
+    /// it, that rest is already recorded.
+    fn record_drain(&mut self, sim: &mut BatchScheduler, mut settle: bool) {
+        loop {
+            let (passes, queued) = (&mut self.passes, &mut self.queued);
+            let record = |pass, started: &[Running]| {
+                for run in started {
+                    queued[run.job.id.0 as usize].pass = passes.len();
+                }
+                passes.push(pass);
+            };
+            if std::mem::take(&mut settle) {
+                sim.schedule(record);
+            } else if let Some(end) = sim.next_end() {
+                sim.complete_through(end, record);
+            } else {
+                return;
+            }
+            self.rests.push(self.passes.len() - 1);
+        }
     }
 }
 
@@ -576,6 +787,47 @@ mod tests {
                     "{nodes}×{hours}h at {at}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn splice_follows_a_job_that_heads_the_queue_before_it_starts() {
+        let mut s = BatchScheduler::new(4);
+        s.submit(4, h(1), SimTime::ZERO); // A: 0–1h
+        s.submit(2, h(1), SimTime::ZERO); // B: 1h–2h
+        let mut p = s.projection();
+        // C cannot start at 1h, when B leaves it the head: from then on
+        // the reservation behind the head is C's, not none.
+        s.submit(4, h(1), SimTime::ZERO); // C: 2h–3h
+        p.splice(&s, 4, h(1), SimTime::ZERO);
+        assert!(p == s.projection());
+        // D fits next to B at 1h but would outlive C's reservation at 2h,
+        // so it waits for C.
+        assert_eq!(p.estimate_start(2, h(2), SimTime::ZERO), Some(t(3)));
+        let id = s.submit(2, h(2), SimTime::ZERO);
+        p.splice(&s, 2, h(2), SimTime::ZERO);
+        assert!(p == s.projection());
+        s.drain();
+        let started = s.finished().iter().find(|f| f.job.id == id);
+        assert_eq!(started.map(|f| f.started), Some(t(3)));
+    }
+
+    #[test]
+    fn splice_keeps_the_batches_before_a_late_start() {
+        let mut s = BatchScheduler::new(4);
+        s.submit(4, h(1), SimTime::ZERO); // A: 0–1h
+        s.submit(4, h(1), SimTime::ZERO); // B: 1h–2h
+        s.submit(4, h(1), SimTime::ZERO); // C: 2h–3h
+        let mut p = s.projection();
+        // Each job but the last arrives behind a full machine and waiting
+        // work, so it first matters one or more completion batches on:
+        // the first at 2h, when C starts and leaves it the head. The
+        // zero-node job starts at once and is projected whole.
+        for (nodes, hours, at) in [(1, 1, 90), (4, 0, 150), (2, 3, 0), (0, 1, 30)] {
+            let at = SimTime::from_secs(at * 60);
+            s.submit(nodes, h(hours), at);
+            p.splice(&s, nodes, h(hours), at);
+            assert!(p == s.projection(), "{nodes}×{hours}h at {at}");
         }
     }
 

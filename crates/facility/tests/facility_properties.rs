@@ -1,9 +1,10 @@
 //! Property tests for facility substrates: batch-scheduler safety and
-//! fairness, start-time projection against a clone-and-drain reference,
-//! human-latency sanity, and fabric routing laws.
+//! fairness, start-time projection (fresh and spliced) against a
+//! clone-and-drain reference, human-latency sanity, and fabric routing
+//! laws.
 
 use evoflow_facility::{
-    is_working, next_working_instant, BatchScheduler, DataFabric, HumanModel, Link,
+    is_working, next_working_instant, BatchScheduler, DataFabric, HumanModel, Link, StartProjection,
 };
 use evoflow_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -151,11 +152,16 @@ fn shifted(now: SimTime, units: i64) -> SimTime {
     }
 }
 
-/// Compare one reused projection and `estimate_start` with the reference
-/// for every query, at times before, at and after the scheduler clock, at
-/// future start and completion instants, and at offsets from all of them.
-fn assert_projection_matches(s: &BatchScheduler, queries: &[(u64, u64, i64)]) {
-    let projection = s.projection();
+/// Compare `kept`, the projection carried across the scheduler's changes,
+/// a fresh projection and `estimate_start` with the reference for every
+/// query, at times before, at and after the scheduler clock, at future
+/// start and completion instants, and at offsets from all of them.
+fn assert_projection_matches(
+    s: &BatchScheduler,
+    kept: &StartProjection,
+    queries: &[(u64, u64, i64)],
+) {
+    let fresh = s.projection();
     let mut events: Vec<SimTime> = {
         let mut drained = s.clone();
         drained.drain();
@@ -181,12 +187,14 @@ fn assert_projection_matches(s: &BatchScheduler, queries: &[(u64, u64, i64)]) {
             let walltime = UNIT.saturating_mul(units);
             for at in [at, shifted(at, offset)] {
                 let expected = reference_start(s, nodes, walltime, at);
-                assert_eq!(
-                    projection.estimate_start(nodes, walltime, at),
-                    expected,
-                    "projection: {nodes} nodes × {units} units at {at:?}, clock {:?}",
-                    s.now()
-                );
+                for (projection, which) in [(kept, "kept"), (&fresh, "fresh")] {
+                    assert_eq!(
+                        projection.estimate_start(nodes, walltime, at),
+                        expected,
+                        "{which} projection: {nodes} nodes × {units} units at {at:?}, clock {:?}",
+                        s.now()
+                    );
+                }
                 assert_eq!(s.estimate_start(nodes, walltime, at), expected);
             }
         }
@@ -200,7 +208,9 @@ proptest! {
     /// clone-and-drain reference finds, on random schedulers built from
     /// submissions (zero-node and zero-walltime ones included),
     /// `advance_to` and `drain_queued`; one case in eight starts right
-    /// below the saturated clock `SimTime::MAX`.
+    /// below the saturated clock `SimTime::MAX`. One projection is kept
+    /// across the ops, spliced after each submission and rebuilt after
+    /// any other change, and equals a fresh one after every op.
     #[test]
     fn start_projection_matches_clone_and_drain(
         total in 1u64..41,
@@ -212,23 +222,31 @@ proptest! {
         if near_max == 0 {
             s.advance_to(shifted(SimTime::MAX, -40));
         }
+        let mut kept = s.projection();
         for (i, &(kind, raw, units, offset)) in ops.iter().enumerate() {
             match kind {
                 0..=89 => {
                     let nodes = raw % (total + 1);
-                    s.submit(nodes, UNIT.saturating_mul(units), shifted(s.now(), offset));
+                    let (walltime, at) = (UNIT.saturating_mul(units), shifted(s.now(), offset));
+                    s.submit(nodes, walltime, at);
+                    kept.splice(&s, nodes, walltime, at);
                 }
-                90..=98 => s.advance_to(shifted(s.now(), offset.max(0))),
+                90..=98 => {
+                    s.advance_to(shifted(s.now(), offset.max(0)));
+                    kept = s.projection();
+                }
                 _ => {
                     s.drain_queued();
+                    kept = s.projection();
                 }
             }
+            prop_assert!(kept == s.projection(), "kept projection stale after op {}", i);
             if i % 20 == 0 || i + 1 == ops.len() {
-                assert_projection_matches(&s, &queries);
+                assert_projection_matches(&s, &kept, &queries);
             }
         }
         if ops.is_empty() {
-            assert_projection_matches(&s, &queries);
+            assert_projection_matches(&s, &kept, &queries);
         }
     }
 }
