@@ -661,18 +661,25 @@ impl PlacementState {
     }
 }
 
-/// The serial placement simulation. Pure function of the config; never
-/// sees threads, wall-clock, or campaign results.
-fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError> {
-    if cfg.sites.is_empty() {
+/// Refuse a site list no placement can use: an empty one, or one that
+/// names a site twice.
+fn check_sites(sites: &[SiteSpec]) -> Result<(), FederatedError> {
+    if sites.is_empty() {
         return Err(FederatedError::EmptyFederation);
     }
     let mut names = std::collections::BTreeSet::new();
-    for s in &cfg.sites {
+    for s in sites {
         if !names.insert(s.name.as_str()) {
             return Err(FederatedError::DuplicateSite(s.name.clone()));
         }
     }
+    Ok(())
+}
+
+/// The serial placement simulation. Pure function of the config; never
+/// sees threads, wall-clock, or campaign results.
+fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError> {
+    check_sites(&cfg.sites)?;
     let standard = presets::standard_federation();
     let is_standard = cfg.sites.len() == standard.len()
         && cfg
@@ -826,19 +833,23 @@ fn place_fleet(cfg: &FederatedConfig) -> Result<PlacementOutcome, FederatedError
 
 /// Run [`place_fleet`] on a scoped thread while the calling thread runs
 /// `fleet`, and return both. Placement never reads what the fleet
-/// computes, so overlapping them changes no report; the caller reports a
-/// placement error before anything the fleet returned.
+/// computes, so overlapping them changes no report. A placement error
+/// wins over anything the fleet returned. A site list [`check_sites`]
+/// refuses is refused before the fleet starts; `NoCapacity` is found
+/// only by placing, so that refusal still comes after the whole fleet
+/// has run.
 fn place_beside<T>(
     cfg: &FederatedConfig,
     fleet: impl FnOnce() -> T,
-) -> (Result<PlacementOutcome, FederatedError>, T) {
+) -> Result<(PlacementOutcome, T), FederatedError> {
+    check_sites(&cfg.sites)?;
     std::thread::scope(|scope| {
         let placement = scope.spawn(|| place_fleet(cfg));
         let fleet = fleet();
         let placed = placement
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (placed, fleet)
+        Ok((placed?, fleet))
     })
 }
 
@@ -871,8 +882,8 @@ pub fn run_campaign_fleet_federated(
     space: &MaterialsSpace,
     cfg: &FederatedConfig,
 ) -> Result<FederatedReport, FederatedError> {
-    let (outcome, fleet) = place_beside(cfg, || run_campaign_fleet(space, &cfg.fleet));
-    Ok(assemble_report(cfg, outcome?, fleet))
+    let (outcome, fleet) = place_beside(cfg, || run_campaign_fleet(space, &cfg.fleet))?;
+    Ok(assemble_report(cfg, outcome, fleet))
 }
 
 /// Run a federated fleet with full event recording: the report embeds
@@ -885,8 +896,8 @@ pub fn run_campaign_fleet_federated_recorded(
     cfg: &FederatedConfig,
 ) -> Result<(FederatedReport, FleetLedger), FederatedError> {
     let (outcome, (fleet, ledger)) =
-        place_beside(cfg, || run_campaign_fleet_recorded(space, &cfg.fleet));
-    Ok((assemble_report(cfg, outcome?, fleet), ledger))
+        place_beside(cfg, || run_campaign_fleet_recorded(space, &cfg.fleet))?;
+    Ok((assemble_report(cfg, outcome, fleet), ledger))
 }
 
 /// Run a federated fleet until `max_completions` campaigns have
@@ -899,10 +910,9 @@ pub fn run_campaign_fleet_federated_until(
     cfg: &FederatedConfig,
     max_completions: usize,
 ) -> Result<FederatedCheckpoint, FederatedError> {
-    let (outcome, fleet) = place_beside(cfg, || {
+    let (_, fleet) = place_beside(cfg, || {
         run_campaign_fleet_until(space, &cfg.fleet, max_completions)
-    });
-    outcome?;
+    })?;
     Ok(FederatedCheckpoint {
         placement_signature: cfg.placement_signature(),
         fleet,
@@ -929,8 +939,8 @@ pub fn resume_campaign_fleet_federated(
     }
     let (outcome, fleet) = place_beside(cfg, || {
         resume_campaign_fleet(space, &cfg.fleet, &checkpoint.fleet)
-    });
-    let outcome = outcome.map_err(FederatedResumeError::Placement)?;
+    })
+    .map_err(FederatedResumeError::Placement)?;
     let fleet = fleet.map_err(FederatedResumeError::Fleet)?;
     Ok(assemble_report(cfg, outcome, fleet))
 }
@@ -1115,6 +1125,25 @@ mod tests {
                 resume_campaign_fleet_federated(&space, &cfg, &checkpoint).err(),
                 Some(FederatedResumeError::Placement(error))
             );
+        }
+    }
+
+    #[test]
+    fn a_refused_site_list_never_starts_the_fleet() {
+        let refused = [
+            (Vec::new(), FederatedError::EmptyFederation),
+            (
+                vec![
+                    SiteSpec::new("twin", FacilityKind::Hpc),
+                    SiteSpec::new("twin", FacilityKind::Cloud),
+                ],
+                FederatedError::DuplicateSite("twin".into()),
+            ),
+        ];
+        for (sites, error) in refused {
+            let cfg = FederatedConfig::new(fleet(1), PlacementPolicyKind::LeastWait, sites);
+            let placed = place_beside::<()>(&cfg, || panic!("the fleet started"));
+            assert_eq!(placed.err(), Some(error));
         }
     }
 

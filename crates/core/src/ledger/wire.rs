@@ -68,6 +68,14 @@
 //! checksum: a single flipped bit or a truncated segment anywhere is
 //! refused with a typed [`WireError`].
 //!
+//! ## Writing
+//!
+//! One body writer serves a whole container, clearing (not freeing) its
+//! borrowed-key intern table between bodies. A body's header needs only
+//! its event count, so header and sealed segments go straight into the
+//! container's one output buffer, behind a gap that the envelope and
+//! section close once the body lengths are known.
+//!
 //! ## Migration story
 //!
 //! [`LedgerEncoding::detect`] sniffs the 4-byte magic: anything else is
@@ -366,6 +374,11 @@ fn fnv_fold16(state: u64) -> u16 {
     (h & 0xFFFF) as u16
 }
 
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_width(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).div_ceil(7).max(1) as usize
+}
+
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7F) as u8;
@@ -474,23 +487,23 @@ impl<'a> Cursor<'a> {
 /// Encode-side intern table: first occurrence writes `0 · len · bytes`
 /// and claims the next 1-based id; repeats write just the id. Ids are
 /// assigned in order of first use, so the byte stream is a pure
-/// function of the event sequence.
+/// function of the event sequence. Keys borrow the encoded strings.
 #[derive(Default)]
-struct InternWriter {
-    ids: HashMap<String, u64>,
+struct InternWriter<'a> {
+    ids: HashMap<&'a str, u64>,
     hits: u64,
     misses: u64,
 }
 
-impl InternWriter {
-    fn put(&mut self, out: &mut Vec<u8>, s: &str) {
+impl<'a> InternWriter<'a> {
+    fn put(&mut self, out: &mut Vec<u8>, s: &'a str) {
         if let Some(&id) = self.ids.get(s) {
             self.hits += 1;
             put_varint(out, id);
         } else {
             self.misses += 1;
             let id = self.ids.len() as u64 + 1;
-            self.ids.insert(s.to_string(), id);
+            self.ids.insert(s, id);
             put_varint(out, 0);
             put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
@@ -504,7 +517,7 @@ impl InternWriter {
     /// a byte per word. Anything short, already whole-interned, or not
     /// exactly word-join shaped stays a whole-string intern (flag 0),
     /// so the round trip is lossless either way.
-    fn put_text(&mut self, out: &mut Vec<u8>, s: &str) {
+    fn put_text(&mut self, out: &mut Vec<u8>, s: &'a str) {
         if !self.ids.contains_key(s) && s.len() > 24 && s.contains(' ') {
             let words: Vec<&str> = s.split(' ').collect();
             if words.iter().all(|w| !w.is_empty()) {
@@ -581,7 +594,7 @@ impl InternReader {
 /// The wire codec of one Rust field type. Every record layout is a
 /// sequence of these (see `wire_layouts!` below).
 trait Field: Sized {
-    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter);
+    fn put<'a>(&'a self, out: &mut Vec<u8>, strings: &mut InternWriter<'a>);
     fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError>;
 }
 
@@ -642,7 +655,7 @@ impl Flagged for f64 {}
 impl Flagged for CampaignReport {}
 
 impl<T: Flagged> Field for Option<T> {
-    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+    fn put<'a>(&'a self, out: &mut Vec<u8>, strings: &mut InternWriter<'a>) {
         match self {
             None => out.push(0),
             Some(v) => {
@@ -693,7 +706,7 @@ impl Field for SimDuration {
 
 /// Strings are interned (tokenized text is marked in the table instead).
 impl Field for Cow<'static, str> {
-    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+    fn put<'a>(&'a self, out: &mut Vec<u8>, strings: &mut InternWriter<'a>) {
         strings.put(out, self);
     }
     fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
@@ -702,7 +715,7 @@ impl Field for Cow<'static, str> {
 }
 
 impl Field for String {
-    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+    fn put<'a>(&'a self, out: &mut Vec<u8>, strings: &mut InternWriter<'a>) {
         strings.put(out, self);
     }
     fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
@@ -712,7 +725,7 @@ impl Field for String {
 
 /// A varint count, then each element.
 impl<T: Field> Field for Vec<T> {
-    fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+    fn put<'a>(&'a self, out: &mut Vec<u8>, strings: &mut InternWriter<'a>) {
         put_varint(out, self.len() as u64);
         for v in self {
             v.put(out, strings);
@@ -780,7 +793,7 @@ macro_rules! wire_layouts {
         $($tag:literal $kind:literal $variant:ident { $($f:ident $(: $codec:ident)?),* $(,)? })*
     ) => {
         impl Field for CampaignReport {
-            fn put(&self, out: &mut Vec<u8>, strings: &mut InternWriter) {
+            fn put<'a>(&'a self, out: &mut Vec<u8>, strings: &mut InternWriter<'a>) {
                 let CampaignReport { $($rf),* } = self;
                 $($rf.put(out, strings);)*
             }
@@ -790,7 +803,11 @@ macro_rules! wire_layouts {
         }
 
         /// One record body: the variant's tag, then its fields in order.
-        fn encode_event(out: &mut Vec<u8>, strings: &mut InternWriter, event: &CampaignEvent) {
+        fn encode_event<'a>(
+            out: &mut Vec<u8>,
+            strings: &mut InternWriter<'a>,
+            event: &'a CampaignEvent,
+        ) {
             match event {
                 $(CampaignEvent::$variant { $($f),* } => {
                     out.push($tag);
@@ -908,97 +925,75 @@ impl Counters {
     }
 }
 
-/// Incremental encoder for one event stream: batches records into
-/// ≤[`SEGMENT_EVENTS`]-event segments, each prefixed with the replay
-/// counter snapshot and sealed with a CRC32.
-struct BodyWriter {
-    segments: Vec<u8>,
-    seg: Vec<u8>,
-    /// Per-record encode buffer, reused across [`push`](Self::push)
-    /// calls — the record framing needs the encoded length before the
-    /// bytes, but that must not cost one `Vec` allocation per event.
-    scratch: Vec<u8>,
-    seg_index: u64,
-    seg_events: u64,
-    total_events: u64,
-    fnv: u64,
-    strings: InternWriter,
-    counters: Counters,
-    /// `counters` when the open segment began.
-    snap: Counters,
+/// The one encoder of campaign bodies (see [Writing](self#writing)). Its
+/// intern table is cleared between bodies, so ids restart at 1 in each.
+#[derive(Default)]
+struct BodyWriter<'a> {
+    strings: InternWriter<'a>,
 }
 
-impl BodyWriter {
-    fn new() -> Self {
-        BodyWriter {
-            segments: Vec::new(),
-            seg: Vec::new(),
-            scratch: Vec::with_capacity(64),
-            seg_index: 0,
-            seg_events: 0,
-            total_events: 0,
-            fnv: FNV_OFFSET,
-            strings: InternWriter::default(),
-            counters: Counters::default(),
-            snap: Counters::default(),
+impl<'a> BodyWriter<'a> {
+    /// Append the body of `events` to `out`, returning its counters.
+    fn write(&mut self, events: &'a [CampaignEvent], out: &mut Vec<u8>) -> WireEncodeStats {
+        self.strings.ids.clear();
+        (self.strings.hits, self.strings.misses) = (0, 0);
+        let segments = events.len().div_ceil(SEGMENT_EVENTS) as u64;
+        let header = out.len();
+        put_varint(out, segments);
+        put_varint(out, events.len() as u64);
+        seal(out, header);
+        let mut fnv = FNV_OFFSET;
+        let mut counters = Counters::default();
+        for (index, chunk) in events.chunks(SEGMENT_EVENTS).enumerate() {
+            let segment = out.len();
+            put_varint(out, index as u64);
+            put_varint(out, chunk.len() as u64);
+            for v in [counters.experiments, counters.hits, counters.tokens] {
+                put_varint(out, v);
+            }
+            // Two bytes cover a payload of 128 B to 16 KiB.
+            let payload = out.len();
+            out.extend_from_slice(&[0; 2]);
+            for event in chunk {
+                let record = out.len();
+                out.push(0);
+                encode_event(out, &mut self.strings, event);
+                fnv = fnv_absorb(fnv, &out[record + 1..]);
+                backfill_len(out, record, 1);
+                out.extend_from_slice(&fnv_fold16(fnv).to_le_bytes());
+                counters.absorb(event);
+            }
+            backfill_len(out, payload, 2);
+            seal(out, segment);
         }
-    }
-
-    fn push(&mut self, event: &CampaignEvent) {
-        self.scratch.clear();
-        encode_event(&mut self.scratch, &mut self.strings, event);
-        put_varint(&mut self.seg, self.scratch.len() as u64);
-        self.seg.extend_from_slice(&self.scratch);
-        self.fnv = fnv_absorb(self.fnv, &self.scratch);
-        self.seg
-            .extend_from_slice(&fnv_fold16(self.fnv).to_le_bytes());
-        self.seg_events += 1;
-        self.total_events += 1;
-        self.counters.absorb(event);
-        if self.seg_events as usize == SEGMENT_EVENTS {
-            self.flush_segment();
-        }
-    }
-
-    fn flush_segment(&mut self) {
-        if self.seg_events == 0 {
-            return;
-        }
-        let start = self.segments.len();
-        put_varint(&mut self.segments, self.seg_index);
-        put_varint(&mut self.segments, self.seg_events);
-        put_varint(&mut self.segments, self.snap.experiments);
-        put_varint(&mut self.segments, self.snap.hits);
-        put_varint(&mut self.segments, self.snap.tokens);
-        put_varint(&mut self.segments, self.seg.len() as u64);
-        self.segments.extend_from_slice(&self.seg);
-        let crc = crc32(&self.segments[start..]);
-        self.segments.extend_from_slice(&crc.to_le_bytes());
-        self.seg.clear();
-        self.seg_events = 0;
-        self.seg_index += 1;
-        self.snap = self.counters;
-    }
-
-    /// Seal the body and append it to `out` (appending into a
-    /// caller-reused buffer, so the header CRC covers only the bytes this
-    /// call wrote). Returns the encode's allocation-proxy counters.
-    fn finish_into(mut self, out: &mut Vec<u8>) -> WireEncodeStats {
-        self.flush_segment();
-        out.reserve(self.segments.len() + 16);
-        let header_start = out.len();
-        put_varint(out, self.seg_index);
-        put_varint(out, self.total_events);
-        let crc = crc32(&out[header_start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&self.segments);
         WireEncodeStats {
-            events: self.total_events,
-            segments: self.seg_index,
+            events: events.len() as u64,
+            segments,
             intern_hits: self.strings.hits,
             intern_misses: self.strings.misses,
         }
     }
+}
+
+/// Append the CRC32 of `out[from..]`.
+fn seal(out: &mut Vec<u8>, from: usize) {
+    let crc = crc32(&out[from..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Write the varint length of `out[at + reserved..]` over the `reserved`
+/// placeholder bytes at `at`. A varint of another width moves the bytes
+/// behind the placeholder once.
+fn backfill_len(out: &mut Vec<u8>, at: usize, reserved: usize) {
+    let len = out.len() - at - reserved;
+    put_varint(out, len as u64);
+    let width = out.len() - at - reserved - len;
+    if width != reserved {
+        out.splice(at..at + reserved, std::iter::repeat_n(0, width));
+    }
+    let varint = out.len() - width;
+    out.copy_within(varint.., at);
+    out.truncate(varint);
 }
 
 /// Deterministic counters from one binary encode — the wire layer's
@@ -1016,26 +1011,6 @@ pub struct WireEncodeStats {
     pub intern_hits: u64,
     /// String fields that created a new intern-table entry.
     pub intern_misses: u64,
-}
-
-/// Encode one event stream body, appending to `out`. Returns encode
-/// counters.
-fn encode_body_into<'a>(
-    events: impl IntoIterator<Item = &'a CampaignEvent>,
-    out: &mut Vec<u8>,
-) -> WireEncodeStats {
-    let mut w = BodyWriter::new();
-    for e in events {
-        w.push(e);
-    }
-    w.finish_into(out)
-}
-
-/// Append one body to `out` and return its length in bytes.
-fn append_body(events: &[CampaignEvent], out: &mut Vec<u8>) -> usize {
-    let start = out.len();
-    encode_body_into(events, out);
-    out.len() - start
 }
 
 // ---- body reader ------------------------------------------------------------
@@ -1226,12 +1201,10 @@ fn decode_ledger(body: &[u8]) -> Result<CampaignLedger, WireError> {
 
 // ---- envelope + containers --------------------------------------------------
 
-fn envelope(kind: u8, body_capacity: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(6 + body_capacity);
+fn envelope(out: &mut Vec<u8>, kind: u8) {
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind);
-    out
 }
 
 fn check_envelope(bytes: &[u8], kind: u8) -> Result<&[u8], WireError> {
@@ -1253,6 +1226,38 @@ fn check_envelope(bytes: &[u8], kind: u8) -> Result<&[u8], WireError> {
     Ok(&bytes[6..])
 }
 
+/// Encode a container of `kind`: the envelope, the CRC32-sealed section
+/// that `section` writes given the body lengths, then the bodies back to
+/// back. Every body goes through one [`BodyWriter`] straight into the
+/// output, behind a gap reserved for a section of `section_guess` bytes;
+/// once the lengths are known, the envelope and section close the gap in
+/// place (a section of another size moves the bodies once).
+fn encode_container<'a>(
+    kind: u8,
+    section_guess: usize,
+    bodies: impl IntoIterator<Item = &'a [CampaignEvent]>,
+    section: impl FnOnce(Vec<usize>, &mut Vec<u8>),
+) -> Vec<u8> {
+    let gap = 6 + varint_width(section_guess as u64) + section_guess + 4;
+    let mut out = vec![0; gap];
+    let mut writer = BodyWriter::default();
+    let lens = bodies
+        .into_iter()
+        .map(|events| {
+            let start = out.len();
+            writer.write(events, &mut out);
+            out.len() - start
+        })
+        .collect();
+    let mut scalars = Vec::new();
+    section(lens, &mut scalars);
+    let mut head = Vec::with_capacity(gap);
+    envelope(&mut head, kind);
+    put_section(&mut head, &scalars);
+    out.splice(..gap, head);
+    out
+}
+
 /// Encode a checkpoint container (both kinds share one shape: per-slot
 /// seeds, optional committed reports and ledgers, and a trailing
 /// fleet-scoped event stream): one section holding every seed, report,
@@ -1267,32 +1272,29 @@ fn encode_checkpoint(
     ledgers: &[Option<CampaignLedger>],
     events: &[CampaignEvent],
 ) -> Vec<u8> {
-    let mut bodies = Vec::new();
-    let lens: Vec<Option<usize>> = ledgers
-        .iter()
-        .map(|l| l.as_ref().map(|l| append_body(&l.events, &mut bodies)))
-        .collect();
-    let events_len = append_body(events, &mut bodies);
-
-    let mut section = Vec::new();
-    let strings = &mut InternWriter::default();
-    master_seed.put(&mut section, strings);
-    seeds.len().put(&mut section, strings);
-    for seed in seeds {
-        seed.put(&mut section, strings);
-    }
-    for report in completed {
-        report.put(&mut section, strings);
-    }
-    for len in &lens {
-        len.put(&mut section, strings);
-    }
-    events_len.put(&mut section, strings);
-
-    let mut out = envelope(kind, section.len() + bodies.len() + 16);
-    put_section(&mut out, &section);
-    out.extend_from_slice(&bodies);
-    out
+    let bodies = ledgers.iter().flatten().map(|l| &l.events[..]);
+    encode_container(kind, 0, bodies.chain([events]), |mut lens, section| {
+        let events_len = lens.pop().expect("the trailing stream's body comes last");
+        let mut lens = lens.into_iter();
+        let ledger_lens: Vec<Option<usize>> = ledgers
+            .iter()
+            .map(|l| l.as_ref().and_then(|_| lens.next()))
+            .collect();
+        let count = seeds.len();
+        let strings = &mut InternWriter::default();
+        master_seed.put(section, strings);
+        count.put(section, strings);
+        for seed in seeds {
+            seed.put(section, strings);
+        }
+        for report in completed {
+            report.put(section, strings);
+        }
+        for len in &ledger_lens {
+            len.put(section, strings);
+        }
+        events_len.put(section, strings);
+    })
 }
 
 /// Decode either checkpoint kind into the shared shape, which is exactly
@@ -1364,11 +1366,8 @@ impl CampaignLedger {
     /// Returns the encode's deterministic counters.
     pub fn encode_binary_into(&self, out: &mut Vec<u8>) -> WireEncodeStats {
         out.clear();
-        out.reserve(6);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(KIND_CAMPAIGN);
-        encode_body_into(&self.events, out)
+        envelope(out, KIND_CAMPAIGN);
+        BodyWriter::default().write(&self.events, out)
     }
 
     /// Decode from either encoding, sniffed via [`LedgerEncoding::detect`].
@@ -1387,22 +1386,16 @@ impl FleetLedger {
         match encoding {
             LedgerEncoding::Json => json_bytes(self),
             LedgerEncoding::Binary => {
-                // One contiguous buffer for every campaign body; the
-                // section holds the seed and the length table.
-                let mut bodies = Vec::new();
-                let lens: Vec<usize> = self
-                    .campaigns
-                    .iter()
-                    .map(|c| append_body(&c.events, &mut bodies))
-                    .collect();
-                let mut section = Vec::new();
-                let strings = &mut InternWriter::default();
-                self.master_seed.put(&mut section, strings);
-                lens.put(&mut section, strings);
-                let mut out = envelope(KIND_FLEET, section.len() + bodies.len() + 16);
-                put_section(&mut out, &section);
-                out.extend_from_slice(&bodies);
-                out
+                // A gap sized for two-byte body lengths (bodies of 128 B
+                // to 16 KiB) closes without moving a byte.
+                let n = self.campaigns.len();
+                let guess = varint_width(self.master_seed) + varint_width(n as u64) + 2 * n;
+                let bodies = self.campaigns.iter().map(|c| &c.events[..]);
+                encode_container(KIND_FLEET, guess, bodies, |lens, section| {
+                    let strings = &mut InternWriter::default();
+                    self.master_seed.put(section, strings);
+                    lens.put(section, strings);
+                })
             }
         }
     }

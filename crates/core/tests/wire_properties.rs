@@ -11,6 +11,11 @@
 //!   any single flipped bit and any truncation is refused by the decoder;
 //!   corruption never replays as silently different history.
 //!
+//! * **One body writer** — every container (fleet ledger, fleet and
+//!   service checkpoints) writes each campaign body byte-for-byte as a
+//!   standalone campaign ledger does, however many bodies sharing its
+//!   strings came before it, and decodes back to the value it encoded.
+//!
 //! Beside them, every decoder that falls back to legacy JSON refuses
 //! input nested past the JSON parser's depth limit with a typed error
 //! instead of overflowing the stack.
@@ -18,9 +23,9 @@
 use evoflow_core::{
     replay_fleet_ledger_bytes, replay_ledger_bytes, resume_campaign_fleet_recorded_bytes,
     resume_service_bytes, run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger,
-    Cell, FleetConfig, FleetLedger, FleetLedgerCheckpoint, FleetResumeError, LedgerEncoding,
-    MaterialsSpace, RejectReason, ReplayError, ServiceCheckpoint, ServiceConfig,
-    ServiceResumeError, WireError,
+    CampaignReport, Cell, FleetCheckpoint, FleetConfig, FleetLedger, FleetLedgerCheckpoint,
+    FleetResumeError, LedgerEncoding, MaterialsSpace, RejectReason, ReplayError, ServiceCheckpoint,
+    ServiceConfig, ServiceResumeError, WireError,
 };
 use evoflow_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -267,18 +272,63 @@ fn arb_event() -> impl Strategy<Value = CampaignEvent> {
     ]
 }
 
-/// One real recorded campaign's binary ledger (recorded once; the tamper
-/// properties vary the corruption, not the run).
-fn recorded_binary() -> &'static Vec<u8> {
-    static BIN: OnceLock<Vec<u8>> = OnceLock::new();
-    BIN.get_or_init(|| {
+/// Fleets of 0–5 campaign ledgers that share strings: three events in
+/// four come from one pool, so the same strings recur across bodies.
+/// Lengths at and around the segment size are forced in.
+fn arb_fleet() -> impl Strategy<Value = Vec<CampaignLedger>> {
+    let len = prop_oneof![
+        Just(0usize),
+        Just(127),
+        Just(128),
+        Just(129),
+        Just(256),
+        0usize..301,
+    ];
+    let slot = (any::<sample::Index>(), 0u8..4, arb_event());
+    let campaign = (len, collection::vec(slot, 300));
+    (
+        collection::vec(arb_event(), 1..24),
+        collection::vec(campaign, 0..=5),
+    )
+        .prop_map(|(pool, campaigns)| {
+            let pick = |(index, odds, fresh): (sample::Index, u8, CampaignEvent)| match odds {
+                0 => fresh,
+                _ => pool[index.index(pool.len())].clone(),
+            };
+            campaigns
+                .into_iter()
+                .map(|(len, slots)| CampaignLedger {
+                    events: slots.into_iter().take(len).map(pick).collect(),
+                })
+                .collect()
+        })
+}
+
+/// `events` as a standalone campaign ledger encodes them: its bytes
+/// behind the 6-byte envelope.
+fn standalone_body(events: &[CampaignEvent]) -> Vec<u8> {
+    let ledger = CampaignLedger {
+        events: events.to_vec(),
+    };
+    ledger.to_bytes(LedgerEncoding::Binary)[6..].to_vec()
+}
+
+/// One real recorded campaign's report and binary ledger (recorded once;
+/// the tamper properties vary the corruption, not the run).
+fn recorded() -> &'static (CampaignReport, Vec<u8>) {
+    static RUN: OnceLock<(CampaignReport, Vec<u8>)> = OnceLock::new();
+    RUN.get_or_init(|| {
         let space = MaterialsSpace::generate(3, 8, 777);
         let mut cfg = CampaignConfig::for_cell(Cell::autonomous_science(), 5);
         cfg.horizon = SimDuration::from_days(1);
-        let (_, ledger) = run_campaign_recorded(&space, &cfg);
+        let (report, ledger) = run_campaign_recorded(&space, &cfg);
         assert!(ledger.len() > 8, "stream too short to exercise segments");
-        ledger.to_bytes(LedgerEncoding::Binary)
+        (report, ledger.to_bytes(LedgerEncoding::Binary))
     })
+}
+
+fn recorded_binary() -> &'static Vec<u8> {
+    &recorded().1
 }
 
 proptest! {
@@ -335,6 +385,77 @@ proptest! {
         prop_assert!(
             CampaignLedger::from_bytes(&bin[..cut]).is_err(),
             "truncation to {} bytes decoded cleanly", cut
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every container ends with each of its bodies exactly as a
+    /// standalone campaign ledger writes it, and decodes back to the
+    /// value it encoded. The checkpoints hold every other campaign as
+    /// committed (with a real report) and the first campaign's events as
+    /// their trailing stream.
+    #[test]
+    fn container_bodies_equal_standalone_bodies(
+        campaigns in arb_fleet(),
+        master_seed in any::<u64>(),
+    ) {
+        let fleet = FleetLedger { master_seed, campaigns };
+        let bytes = fleet.to_bytes(LedgerEncoding::Binary);
+        let bodies: Vec<u8> = fleet
+            .campaigns
+            .iter()
+            .flat_map(|c| standalone_body(&c.events))
+            .collect();
+        prop_assert!(bytes.ends_with(&bodies), "fleet bodies differ");
+        prop_assert_eq!(FleetLedger::from_bytes(&bytes).expect("own bytes decode"), fleet.clone());
+
+        let ledgers: Vec<Option<CampaignLedger>> = fleet
+            .campaigns
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (i % 2 == 0).then(|| c.clone()))
+            .collect();
+        let completed: Vec<Option<CampaignReport>> = ledgers
+            .iter()
+            .map(|l| l.as_ref().map(|_| recorded().0.clone()))
+            .collect();
+        let seeds: Vec<u64> = (0..ledgers.len() as u64).map(|i| master_seed ^ i).collect();
+        let events = fleet.campaigns.first().map(|c| c.events.clone()).unwrap_or_default();
+        let mut bodies: Vec<u8> = ledgers
+            .iter()
+            .flatten()
+            .flat_map(|l| standalone_body(&l.events))
+            .collect();
+        bodies.extend(standalone_body(&events));
+
+        let service = ServiceCheckpoint {
+            master_seed,
+            seeds: seeds.clone(),
+            completed: completed.clone(),
+            ledgers: ledgers.clone(),
+            events: events.clone(),
+        };
+        let bytes = service.to_bytes(LedgerEncoding::Binary);
+        prop_assert!(bytes.ends_with(&bodies), "service checkpoint bodies differ");
+        prop_assert_eq!(ServiceCheckpoint::from_bytes(&bytes).expect("own bytes decode"), service);
+
+        let checkpoint = FleetLedgerCheckpoint {
+            fleet: FleetCheckpoint {
+                master_seed,
+                shard_seeds: seeds,
+                completed,
+            },
+            ledgers,
+            events,
+        };
+        let bytes = checkpoint.to_bytes(LedgerEncoding::Binary);
+        prop_assert!(bytes.ends_with(&bodies), "fleet checkpoint bodies differ");
+        prop_assert_eq!(
+            FleetLedgerCheckpoint::from_bytes(&bytes).expect("own bytes decode"),
+            checkpoint
         );
     }
 }
