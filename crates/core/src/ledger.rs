@@ -29,8 +29,9 @@
 //!   run's, and the stores are those the librarian builds from the same
 //!   records. The ledger is therefore sufficient evidence for everything
 //!   the report claims — the audit + debugging substrate §4.2 calls for.
-//!   [`replay_fleet_ledger`] folds a fleet's campaigns in parallel and
-//!   builds no stores.
+//!   [`replay_fleet_ledger`] folds a fleet's campaigns in parallel,
+//!   checks each campaign's seed against its position, and builds no
+//!   stores.
 //!
 //! **Determinism contract.** Events are emitted at fixed points in the
 //! campaign loop and carry exact simulated times ([`SimTime`] /
@@ -54,12 +55,14 @@
 //! ```
 
 use crate::campaign::{CampaignReport, CampaignTally};
-use crate::fleet::{execute_fleet_tasks_steal_timed, worker_threads, FleetReport};
-use crate::service::RejectReason;
+use crate::fleet::{
+    execute_fleet_tasks_steal_timed, worker_threads, FleetReport, FLEET_SHARD_LABEL,
+};
+use crate::service::{RejectReason, SERVICE_SHARD_LABEL};
 use evoflow_agents::{Candidate, LibrarianAgent};
 use evoflow_cogsim::TokenUsage;
 use evoflow_knowledge::{KnowledgeGraph, ProvenanceStore};
-use evoflow_sim::{MetricsRegistry, SimDuration, SimTime};
+use evoflow_sim::{MetricsRegistry, RngRegistry, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -524,26 +527,14 @@ impl FleetLedger {
 /// derives its counts from the log's length and the librarian's
 /// per-iteration constants, and replays the log through
 /// `record_iteration`, in order, in [`into_stores`](Self::into_stores).
-/// Replay feeds one every campaign event: its counts are the
-/// stream-derived side of the audit's `kg_nodes` and `prov_activities`
-/// checks, and [`replay_ledger`] builds the stores from it. A live
-/// campaign runs none; its counts follow from its experiment count.
+/// [`replay_ledger`] feeds one every campaign event and builds the stores
+/// from it. A fleet replay reads only the counts, so its fold follows the
+/// same pairing rule over a log that clones no proposal and keeps only
+/// its length. Either way, the counts are the stream-derived side of the
+/// audit's `kg_nodes` and `prov_activities` checks. A live campaign runs
+/// no sink; its counts follow from its experiment count.
 #[derive(Debug, Default)]
-pub struct KnowledgeSink {
-    log: Vec<KnowledgeRecord>,
-    pending: VecDeque<Candidate>,
-    threshold: f64,
-    enabled: bool,
-}
-
-/// One logged [`LibrarianAgent::record_iteration`] call.
-#[derive(Debug)]
-struct KnowledgeRecord {
-    candidate: Candidate,
-    score: f64,
-    usage: TokenUsage,
-    threshold: f64,
-}
+pub struct KnowledgeSink(Pairing<Candidates>);
 
 impl KnowledgeSink {
     /// A sink that waits for a `CampaignStarted` event to configure
@@ -554,30 +545,120 @@ impl KnowledgeSink {
 
     /// Knowledge-graph nodes recorded.
     pub fn node_count(&self) -> usize {
-        self.log.len() * LibrarianAgent::NODES_PER_ITERATION
+        self.0.node_count()
     }
 
     /// Provenance activities recorded.
     pub fn activity_count(&self) -> usize {
-        self.log.len() * LibrarianAgent::ACTIVITIES_PER_ITERATION
+        self.0.activity_count()
     }
 
     /// Provenance entities recorded.
     pub fn entity_count(&self) -> usize {
-        self.log.len() * LibrarianAgent::ENTITIES_PER_ITERATION
+        self.0.log.len() * LibrarianAgent::ENTITIES_PER_ITERATION
     }
 
     /// Consume the sink, building the stores from its log.
     pub fn into_stores(self) -> (KnowledgeGraph, ProvenanceStore) {
-        let mut librarian = LibrarianAgent::new();
-        for r in &self.log {
-            librarian.record_iteration(&r.candidate, r.score, r.usage, r.threshold);
-        }
-        (librarian.kg, librarian.prov)
+        self.0.into_stores()
     }
 }
 
 impl LedgerObserver for KnowledgeSink {
+    fn on_event(&mut self, event: &CampaignEvent) {
+        self.0.on_event(event);
+    }
+}
+
+/// What a [`Pairing`] keeps of each queued proposal and of each matched
+/// pair.
+pub(crate) trait Keep {
+    type Proposal: std::fmt::Debug;
+    type Record: std::fmt::Debug;
+    /// Keep a proposal; `candidate` clones it whole.
+    fn proposal(candidate: impl FnOnce() -> Candidate) -> Self::Proposal;
+    /// Keep a pair.
+    fn record(
+        proposal: Self::Proposal,
+        score: f64,
+        usage: TokenUsage,
+        threshold: f64,
+    ) -> Self::Record;
+}
+
+/// [`KnowledgeSink`]'s log: each proposal as a [`Candidate`], each pair
+/// as one [`LibrarianAgent::record_iteration`] call.
+#[derive(Debug)]
+pub(crate) struct Candidates;
+
+impl Keep for Candidates {
+    type Proposal = Candidate;
+    type Record = KnowledgeRecord;
+    fn proposal(candidate: impl FnOnce() -> Candidate) -> Candidate {
+        candidate()
+    }
+    fn record(
+        candidate: Candidate,
+        score: f64,
+        usage: TokenUsage,
+        threshold: f64,
+    ) -> KnowledgeRecord {
+        KnowledgeRecord {
+            candidate,
+            score,
+            usage,
+            threshold,
+        }
+    }
+}
+
+/// A fleet replay's log, which only counts: it keeps `()` of each
+/// proposal and pair, and a `Vec` or `VecDeque` of a zero-sized type
+/// never allocates, so the log is its length and nothing is cloned.
+#[derive(Debug)]
+pub(crate) struct Counts;
+
+impl Keep for Counts {
+    type Proposal = ();
+    type Record = ();
+    fn proposal(_: impl FnOnce() -> Candidate) {}
+    fn record(_: (), _: f64, _: TokenUsage, _: f64) {}
+}
+
+/// The knowledge pairing rule, written once for every log `K` keeps.
+/// `CampaignStarted` sets the threshold and whether knowledge is
+/// recorded. While it is, each proposal queues and each result pairs
+/// with the oldest queued proposal: proposals observe in FIFO order
+/// within an iteration. `IterationEnded` drops the budget-capped tail
+/// that never observed.
+#[derive(Debug)]
+pub(crate) struct Pairing<K: Keep> {
+    log: Vec<K::Record>,
+    pending: VecDeque<K::Proposal>,
+    threshold: f64,
+    enabled: bool,
+}
+
+impl<K: Keep> Default for Pairing<K> {
+    fn default() -> Self {
+        Pairing {
+            log: Vec::new(),
+            pending: VecDeque::new(),
+            threshold: 0.0,
+            enabled: false,
+        }
+    }
+}
+
+impl<K: Keep> Pairing<K> {
+    fn node_count(&self) -> usize {
+        self.log.len() * LibrarianAgent::NODES_PER_ITERATION
+    }
+
+    fn activity_count(&self) -> usize {
+        self.log.len() * LibrarianAgent::ACTIVITIES_PER_ITERATION
+    }
+
     fn on_event(&mut self, event: &CampaignEvent) {
         match event {
             CampaignEvent::CampaignStarted {
@@ -595,12 +676,12 @@ impl LedgerObserver for KnowledgeSink {
                 hallucinated,
                 ..
             } if self.enabled => {
-                self.pending.push_back(Candidate {
+                self.pending.push_back(K::proposal(|| Candidate {
                     params: params.clone(),
                     rationale: rationale.clone(),
                     confidence: *confidence,
                     hallucinated: *hallucinated,
-                });
+                }));
             }
             CampaignEvent::ResultObserved {
                 score,
@@ -608,25 +689,38 @@ impl LedgerObserver for KnowledgeSink {
                 tokens_out,
                 ..
             } if self.enabled => {
-                // Proposals observe in FIFO order within an iteration;
-                // budget-capped tails never observe and are dropped at
-                // IterationEnded.
-                if let Some(candidate) = self.pending.pop_front() {
-                    self.log.push(KnowledgeRecord {
-                        candidate,
-                        score: *score,
-                        usage: TokenUsage {
-                            input_tokens: *tokens_in,
-                            output_tokens: *tokens_out,
-                        },
-                        threshold: self.threshold,
-                    });
+                if let Some(proposal) = self.pending.pop_front() {
+                    let usage = TokenUsage {
+                        input_tokens: *tokens_in,
+                        output_tokens: *tokens_out,
+                    };
+                    let record = K::record(proposal, *score, usage, self.threshold);
+                    self.log.push(record);
                 }
             }
             CampaignEvent::IterationEnded { .. } => self.pending.clear(),
             _ => {}
         }
     }
+}
+
+impl Pairing<Candidates> {
+    fn into_stores(self) -> (KnowledgeGraph, ProvenanceStore) {
+        let mut librarian = LibrarianAgent::new();
+        for r in &self.log {
+            librarian.record_iteration(&r.candidate, r.score, r.usage, r.threshold);
+        }
+        (librarian.kg, librarian.prov)
+    }
+}
+
+/// One logged [`LibrarianAgent::record_iteration`] call.
+#[derive(Debug)]
+pub(crate) struct KnowledgeRecord {
+    candidate: Candidate,
+    score: f64,
+    usage: TokenUsage,
+    threshold: f64,
 }
 
 /// Bridges ledger events into the simulation kernel's
@@ -792,6 +886,14 @@ pub enum ReplayError {
     /// magic, checksum mismatch, truncated segment, trailing garbage)
     /// before any event could be decoded. See [`WireError`].
     Corrupt(WireError),
+    /// Campaign `index` of a fleet ledger does not carry the seed its
+    /// position derives from the master seed: campaigns were dropped,
+    /// duplicated or reordered, or a seed was edited. See
+    /// [`replay_fleet_ledger`].
+    SeedMismatch {
+        /// Position of the first campaign whose seed disagrees.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -816,6 +918,9 @@ impl std::fmt::Display for ReplayError {
                 "integrity mismatch on {field}: ledger records {recorded}, replay derived {replayed}"
             ),
             ReplayError::Corrupt(e) => write!(f, "corrupt ledger bytes: {e}"),
+            ReplayError::SeedMismatch { index } => {
+                write!(f, "campaign {index} does not carry its position's seed")
+            }
         }
     }
 }
@@ -857,39 +962,56 @@ pub struct ReplayOutcome {
 /// this does not catch is content-only forgery that leaves every total
 /// unchanged — e.g. rewording a rationale string — which alters the
 /// rebuilt knowledge stores' contents but not their sizes.
+///
+/// This replay and [`replay_ledger_bytes`](wire::replay_ledger_bytes) are
+/// the ones that build the stores: they log every matched proposal as a
+/// [`KnowledgeSink`] does. A fleet replay reads only the report, so it
+/// counts the same pairs and clones no proposal.
 pub fn replay_ledger(ledger: &CampaignLedger) -> Result<ReplayOutcome, ReplayError> {
+    fold_events::<Candidates>(&ledger.events)?.finish()
+}
+
+/// Fold a whole in-memory stream.
+fn fold_events<K: Keep>(events: &[CampaignEvent]) -> Result<ReplayFold<K>, ReplayError> {
     let mut fold = ReplayFold::new();
-    for event in &ledger.events {
+    for event in events {
         fold.push(event)?;
     }
-    fold.finish()
+    Ok(fold)
 }
 
 /// The incremental state of an in-flight replay, exposed
 /// event-at-a-time so the binary [wire](crate::ledger::wire) reader can
 /// replay a stream without ever materialising a `Vec<CampaignEvent>` —
-/// memory stays bounded by one decoded event plus the
-/// [`KnowledgeSink`]'s log, however long the ledger. Each event folds
-/// into the [`CampaignTally`] the live loop folds its steps into, so the
-/// finished report stays byte-identical either way.
+/// the reader lends it each event from a slot it decodes the next event
+/// of that tag over, so memory stays bounded by one event per tag plus
+/// the knowledge log, however long the ledger. Each event folds into the
+/// [`CampaignTally`] the live loop folds its steps into, so the finished
+/// report stays byte-identical either way. The knowledge log is
+/// [`KnowledgeSink`]'s ([`Candidates`]) when the stores are to be built,
+/// and a count ([`Counts`]) when only the report is read.
 #[derive(Debug)]
-pub(crate) struct ReplayFold {
-    sink: KnowledgeSink,
+pub(crate) struct ReplayFold<K: Keep> {
+    sink: Pairing<K>,
     tally: CampaignTally,
     index: usize,
     cell_label: Cow<'static, str>,
     horizon: SimDuration,
+    /// `CampaignStarted.seed`, which a fleet replay checks against the
+    /// campaign's position.
+    seed: u64,
     finished: Option<CampaignEvent>,
 }
 
-impl ReplayFold {
+impl<K: Keep> ReplayFold<K> {
     pub(crate) fn new() -> Self {
         ReplayFold {
-            sink: KnowledgeSink::new(),
+            sink: Pairing::default(),
             tally: CampaignTally::new(),
             index: 0,
             cell_label: Cow::Borrowed(""),
             horizon: SimDuration::ZERO,
+            seed: 0,
             finished: None,
         }
     }
@@ -908,10 +1030,12 @@ impl ReplayFold {
             match event {
                 CampaignEvent::CampaignStarted {
                     cell_label,
+                    seed,
                     horizon,
                     ..
                 } => {
                     self.cell_label = cell_label.clone();
+                    self.seed = *seed;
                     self.horizon = *horizon;
                 }
                 _ => return Err(ReplayError::MissingStart),
@@ -966,18 +1090,6 @@ impl ReplayFold {
         Ok(())
     }
 
-    /// Cross-check the recorded totals and yield the reconstruction,
-    /// stores included.
-    pub(crate) fn finish(self) -> Result<ReplayOutcome, ReplayError> {
-        let (report, sink) = self.audit()?;
-        let (knowledge, provenance) = sink.into_stores();
-        Ok(ReplayOutcome {
-            report,
-            knowledge,
-            provenance,
-        })
-    }
-
     /// Cross-check the recorded totals and yield the report alone; the
     /// knowledge stores are never built.
     pub(crate) fn finish_report(self) -> Result<CampaignReport, ReplayError> {
@@ -985,11 +1097,11 @@ impl ReplayFold {
     }
 
     /// Cross-check the recorded `CampaignFinished` against the tally's,
-    /// total by total; yield the report and the sink that holds the
-    /// knowledge log. An edit anywhere in the stream that shifts any
-    /// report field (times, tokens, gate counts, store sizes, scores)
-    /// surfaces here as a typed refusal.
-    fn audit(self) -> Result<(CampaignReport, KnowledgeSink), ReplayError> {
+    /// total by total; yield the report and the knowledge log. An edit
+    /// anywhere in the stream that shifts any report field (times,
+    /// tokens, gate counts, store sizes, scores) surfaces here as a typed
+    /// refusal.
+    fn audit(self) -> Result<(CampaignReport, Pairing<K>), ReplayError> {
         if self.index == 0 {
             return Err(ReplayError::Empty);
         }
@@ -1016,6 +1128,20 @@ impl ReplayFold {
             prov_activities,
         );
         Ok((report, self.sink))
+    }
+}
+
+impl ReplayFold<Candidates> {
+    /// Cross-check the recorded totals and yield the reconstruction,
+    /// stores included.
+    pub(crate) fn finish(self) -> Result<ReplayOutcome, ReplayError> {
+        let (report, sink) = self.audit()?;
+        let (knowledge, provenance) = sink.into_stores();
+        Ok(ReplayOutcome {
+            report,
+            knowledge,
+            provenance,
+        })
     }
 }
 
@@ -1085,9 +1211,21 @@ fn finished_totals(event: &CampaignEvent) -> Option<[(&'static str, Total); 12]>
 ///
 /// Campaigns fold in parallel on the fleet executor, one worker per host
 /// core; the result does not depend on the worker count. The knowledge
-/// stores are never built — each campaign's counts come from its
-/// [`KnowledgeSink`] log. If any campaign fails, the error is that of
-/// the first failing campaign in shard order.
+/// stores are never built: each campaign's counts come from the
+/// [`KnowledgeSink`] pairing rule over a log that keeps only its length.
+///
+/// Every campaign must carry the seed its position derives from the
+/// master seed. Campaign 0's seed says how they were derived: under
+/// [`FLEET_SHARD_LABEL`] by shard index (fleet and federated ledgers) or
+/// under [`SERVICE_SHARD_LABEL`] by admission index (a service ledger
+/// lists its campaigns in admission order). A campaign that breaks the
+/// rule — the first one dropped, a duplicate, a reordering, or an edited
+/// master seed — is refused as [`ReplayError::SeedMismatch`]. A dropped
+/// *last* campaign still replays: nothing in the ledger commits to the
+/// campaign count.
+///
+/// If any campaign fails, the error is that of the first failing
+/// campaign in shard order.
 pub fn replay_fleet_ledger(ledger: &FleetLedger) -> Result<FleetReport, ReplayError> {
     replay_fleet_ledger_on(ledger, 0)
 }
@@ -1098,28 +1236,26 @@ pub(crate) fn replay_fleet_ledger_on(
     threads: usize,
 ) -> Result<FleetReport, ReplayError> {
     fold_fleet(ledger.master_seed, &ledger.campaigns, threads, |c| {
-        let mut fold = ReplayFold::new();
-        for event in &c.events {
-            fold.push(event)?;
-        }
-        fold.finish_report()
+        fold_events(&c.events)
     })
 }
 
 /// The one fleet replay driver, under [`replay_fleet_ledger`] and
 /// [`replay_fleet_ledger_bytes`](wire::replay_fleet_ledger_bytes): fold
 /// every campaign with `fold` on the fleet executor with `threads`
-/// workers (0 = one per host core), then merge the reports in shard
-/// order. Every campaign is folded; the first failure in shard order —
-/// not the first in time — is the one returned, so the result is the
-/// serial fold's at any worker count.
+/// workers (0 = one per host core), check its seed against its position,
+/// then merge the reports in shard order. Every campaign is folded; the
+/// first failure in shard order — not the first in time — is the one
+/// returned, so the result is the serial fold's at any worker count.
 pub(crate) fn fold_fleet<T: Sync>(
     master_seed: u64,
     campaigns: &[T],
     threads: usize,
-    fold: impl Fn(&T) -> Result<CampaignReport, ReplayError> + Sync,
+    fold: impl Fn(&T) -> Result<ReplayFold<Counts>, ReplayError> + Sync,
 ) -> Result<FleetReport, ReplayError> {
     let tasks: Vec<(usize, &T)> = campaigns.iter().enumerate().collect();
+    let shards = RngRegistry::new(master_seed);
+    let mut label = None;
     let mut reports = Vec::with_capacity(tasks.len());
     let mut failure = None;
     execute_fleet_tasks_steal_timed(
@@ -1127,13 +1263,31 @@ pub(crate) fn fold_fleet<T: Sync>(
         worker_threads(threads, tasks.len()),
         None,
         false,
-        |campaign| fold(campaign),
+        |campaign| {
+            let fold = fold(campaign)?;
+            let seed = fold.seed;
+            Ok((seed, fold.finish_report()?))
+        },
         // Delivery is in shard order, so the first error seen is the
         // first in shard order.
-        |_, folded| match folded {
-            Ok(report) => reports.push(report),
-            Err(e) => {
-                failure.get_or_insert(e);
+        |index, folded: Result<_, ReplayError>| {
+            if failure.is_some() {
+                return;
+            }
+            let checked = folded.and_then(|(seed, report)| {
+                if index == 0 {
+                    label = [FLEET_SHARD_LABEL, SERVICE_SHARD_LABEL]
+                        .into_iter()
+                        .find(|label| shards.shard_seed(label, 0) == seed);
+                }
+                match label {
+                    Some(label) if shards.shard_seed(label, index as u64) == seed => Ok(report),
+                    _ => Err(ReplayError::SeedMismatch { index }),
+                }
+            });
+            match checked {
+                Ok(report) => reports.push(report),
+                Err(e) => failure = Some(e),
             }
         },
     );
@@ -1483,13 +1637,22 @@ mod tests {
     proptest::proptest! {
         /// The sink's counts are those of the stores it builds, and those
         /// stores are the ones an eager librarian builds from the same
-        /// matched pairs, by value and by serialized bytes.
+        /// matched pairs, by value and by serialized bytes. A fleet
+        /// replay's count-only log pairs the same proposals.
         #[test]
         fn knowledge_sink_builds_the_eager_librarians_stores(
             events in proptest::collection::vec(arb_sink_event(), 0..80)
         ) {
             let mut sink = KnowledgeSink::new();
             sink.on_batch(&events);
+            let mut counted = Pairing::<Counts>::default();
+            for event in &events {
+                counted.on_event(event);
+            }
+            proptest::prop_assert_eq!(
+                (counted.node_count(), counted.activity_count()),
+                (sink.node_count(), sink.activity_count())
+            );
             let counts = (sink.node_count(), sink.activity_count(), sink.entity_count());
             let (kg, prov) = sink.into_stores();
             proptest::prop_assert_eq!(

@@ -76,6 +76,19 @@
 //! container's one output buffer, behind a gap that the envelope and
 //! section close once the body lengths are known.
 //!
+//! ## Reading
+//!
+//! One decoder, `BodyReader`, reads every campaign body, and
+//! `decode_event` is its one record decoder, generated from the same
+//! table. The reader keeps one decoded event per tag and decodes each
+//! record over the last event of its tag: strings, `params` and tokenized
+//! text are cleared and refilled in place, so after a body's first record
+//! of each tag a record allocates nothing; only a string's first
+//! occurrence allocates, as it enters the intern table. A streaming replay
+//! lends each event to the fold from its slot. A full decode (`from_bytes`)
+//! moves each event out of its slot, so the next record of that tag
+//! decodes into a fresh event and the decoded ledger owns every event.
+//!
 //! ## Migration story
 //!
 //! [`LedgerEncoding::detect`] sniffs the 4-byte magic: anything else is
@@ -84,7 +97,10 @@
 //! `tests/integration_serde.rs`. Writers choose per call —
 //! `ledger.to_bytes(LedgerEncoding::Binary)` — so archives mix freely.
 
-use super::{CampaignEvent, CampaignLedger, FleetLedger, ReplayError, ReplayFold, ReplayOutcome};
+use super::{
+    CampaignEvent, CampaignLedger, Candidates, FleetLedger, Keep, ReplayError, ReplayFold,
+    ReplayOutcome,
+};
 use crate::campaign::CampaignReport;
 use crate::fleet::{
     resume_campaign_fleet_recorded, FleetCheckpoint, FleetConfig, FleetLedgerCheckpoint,
@@ -543,8 +559,14 @@ struct InternReader {
 impl InternReader {
     fn get(&mut self, cur: &mut Cursor<'_>) -> Result<String, WireError> {
         let mut s = String::new();
-        self.append(cur, &mut s)?;
+        self.get_into(cur, &mut s)?;
         Ok(s)
+    }
+
+    /// Read one intern ref over `out`, keeping its allocation.
+    fn get_into(&mut self, cur: &mut Cursor<'_>, out: &mut String) -> Result<(), WireError> {
+        out.clear();
+        self.append(cur, out)
     }
 
     /// Read one intern ref and append its string to `out`, claiming the
@@ -567,22 +589,29 @@ impl InternReader {
         Ok(())
     }
 
-    /// Decode a [`InternWriter::put_text`] field: flag 0 is a whole-string
-    /// intern ref, flag 1 a word count followed by interned words,
-    /// appended to one string with single spaces between them.
     fn get_text(&mut self, cur: &mut Cursor<'_>) -> Result<String, WireError> {
+        let mut text = String::new();
+        self.get_text_into(cur, &mut text)?;
+        Ok(text)
+    }
+
+    /// Decode a [`InternWriter::put_text`] field over `out`, keeping its
+    /// allocation: flag 0 is a whole-string intern ref, flag 1 a word
+    /// count followed by interned words, appended with single spaces
+    /// between them.
+    fn get_text_into(&mut self, cur: &mut Cursor<'_>, out: &mut String) -> Result<(), WireError> {
+        out.clear();
         match cur.u8()? {
-            0 => self.get(cur),
+            0 => self.append(cur, out),
             1 => {
                 let count = cur.varint()?;
-                let mut text = String::new();
                 for i in 0..count {
                     if i > 0 {
-                        text.push(' ');
+                        out.push(' ');
                     }
-                    self.append(cur, &mut text)?;
+                    self.append(cur, out)?;
                 }
-                Ok(text)
+                Ok(())
             }
             flag => Err(WireError::BadTextFlag { flag }),
         }
@@ -596,6 +625,18 @@ impl InternReader {
 trait Field: Sized {
     fn put<'a>(&'a self, out: &mut Vec<u8>, strings: &mut InternWriter<'a>);
     fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError>;
+
+    /// Decode over `self`. Types that own heap memory override this to
+    /// clear and refill it in place, so a reused event slot decodes
+    /// without allocating.
+    fn get_into(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        strings: &mut InternReader,
+    ) -> Result<(), WireError> {
+        *self = Self::get(cur, strings)?;
+        Ok(())
+    }
 }
 
 impl Field for u64 {
@@ -712,6 +753,13 @@ impl Field for Cow<'static, str> {
     fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
         Ok(Cow::Owned(strings.get(cur)?))
     }
+    fn get_into(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        strings: &mut InternReader,
+    ) -> Result<(), WireError> {
+        strings.get_into(cur, self.to_mut())
+    }
 }
 
 impl Field for String {
@@ -720,6 +768,13 @@ impl Field for String {
     }
     fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
         strings.get(cur)
+    }
+    fn get_into(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        strings: &mut InternReader,
+    ) -> Result<(), WireError> {
+        strings.get_into(cur, self)
     }
 }
 
@@ -732,12 +787,22 @@ impl<T: Field> Field for Vec<T> {
         }
     }
     fn get(cur: &mut Cursor<'_>, strings: &mut InternReader) -> Result<Self, WireError> {
-        let n: usize = cur.narrow()?;
-        let mut items = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            items.push(T::get(cur, strings)?);
-        }
+        let mut items = Vec::new();
+        items.get_into(cur, strings)?;
         Ok(items)
+    }
+    fn get_into(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        strings: &mut InternReader,
+    ) -> Result<(), WireError> {
+        let n: usize = cur.narrow()?;
+        self.clear();
+        self.reserve_exact(n.min(1024));
+        for _ in 0..n {
+            self.push(T::get(cur, strings)?);
+        }
+        Ok(())
     }
 }
 
@@ -782,11 +847,21 @@ macro_rules! get_field {
     };
 }
 
+macro_rules! get_field_into {
+    ($f:ident, $cur:ident, $strings:ident) => {
+        $f.get_into($cur, $strings)?
+    };
+    ($f:ident, $cur:ident, $strings:ident, text) => {
+        $strings.get_text_into($cur, $f.to_mut())?
+    };
+}
+
 /// Generates, from the table below, `CampaignReport`'s [`Field`] codec,
-/// `encode_event`, `decode_event`, [`CampaignEvent::kind`] and
-/// [`CampaignEvent::metric_key`]. The generated matches and struct
-/// patterns name every variant and every field, so a variant or a field
-/// missing from the table does not compile.
+/// `encode_event`, `decode_event`, the slot count [`TAGS`],
+/// [`CampaignEvent::kind`] and [`CampaignEvent::metric_key`]. The
+/// generated matches and struct patterns name every variant and every
+/// field, so a variant or a field missing from the table does not
+/// compile.
 macro_rules! wire_layouts {
     (
         CampaignReport { $($rf:ident),* $(,)? }
@@ -816,16 +891,35 @@ macro_rules! wire_layouts {
             }
         }
 
-        fn decode_event(
+        /// One event slot per tag: slot `n` holds the last event decoded
+        /// with tag `n`.
+        const TAGS: usize = [$($tag),*].len();
+
+        /// Decode one record body over the last event of its tag in
+        /// `slots`, field by field in place, or into a fresh event when
+        /// that slot is empty; return the slot, now full.
+        fn decode_event<'s>(
             cur: &mut Cursor<'_>,
             strings: &mut InternReader,
-        ) -> Result<CampaignEvent, WireError> {
-            Ok(match cur.u8()? {
-                $($tag => CampaignEvent::$variant {
-                    $($f: get_field!(cur, strings $(, $codec)?)),*
-                },)*
-                tag => return Err(WireError::BadTag { tag }),
-            })
+            slots: &'s mut [Option<CampaignEvent>; TAGS],
+        ) -> Result<&'s mut Option<CampaignEvent>, WireError> {
+            match cur.u8()? {
+                $($tag => {
+                    let slot = &mut slots[$tag];
+                    match slot {
+                        Some(CampaignEvent::$variant { $($f),* }) => {
+                            $(get_field_into!($f, cur, strings $(, $codec)?);)*
+                        }
+                        _ => {
+                            *slot = Some(CampaignEvent::$variant {
+                                $($f: get_field!(cur, strings $(, $codec)?)),*
+                            });
+                        }
+                    }
+                    Ok(slot)
+                })*
+                tag => Err(WireError::BadTag { tag }),
+            }
         }
 
         impl CampaignEvent {
@@ -1015,11 +1109,12 @@ pub struct WireEncodeStats {
 
 // ---- body reader ------------------------------------------------------------
 
-/// Streaming decoder for one event stream body: yields events one at a
-/// time, validating the header CRC up front, every segment CRC before
-/// touching its records, every record's chained fold, and every
-/// segment's counter snapshot against the stream replayed so far.
-/// Memory stays bounded by one record plus the intern table.
+/// The one decoder of campaign bodies (see [Reading](self#reading)):
+/// yields events one at a time, validating the header CRC up front,
+/// every segment CRC before touching its records, every record's chained
+/// fold, and every segment's counter snapshot against the stream
+/// replayed so far. Each record decodes over the last event of its tag,
+/// so memory stays bounded by one event per tag plus the intern table.
 struct BodyReader<'a> {
     cur: Cursor<'a>,
     segment_count: u64,
@@ -1031,6 +1126,7 @@ struct BodyReader<'a> {
     events_read: u64,
     fnv: u64,
     strings: InternReader,
+    slots: [Option<CampaignEvent>; TAGS],
     counters: Counters,
     done: bool,
 }
@@ -1055,6 +1151,7 @@ impl<'a> BodyReader<'a> {
             events_read: 0,
             fnv: FNV_OFFSET,
             strings: InternReader::default(),
+            slots: [const { None }; TAGS],
             counters: Counters::default(),
             done: false,
         })
@@ -1112,7 +1209,9 @@ impl<'a> BodyReader<'a> {
         Ok(())
     }
 
-    fn next_event(&mut self) -> Result<Option<CampaignEvent>, WireError> {
+    /// Decode the next record into its tag's slot and return the slot,
+    /// full; `None` once the body has ended and been checked whole.
+    fn next_event(&mut self) -> Result<Option<&mut Option<CampaignEvent>>, WireError> {
         if self.done {
             return Ok(None);
         }
@@ -1153,7 +1252,7 @@ impl<'a> BodyReader<'a> {
             });
         }
         let mut bcur = Cursor::new(body);
-        let event = decode_event(&mut bcur, &mut self.strings)?;
+        let slot = decode_event(&mut bcur, &mut self.strings, &mut self.slots)?;
         if bcur.remaining() != 0 {
             return Err(overrun);
         }
@@ -1161,7 +1260,7 @@ impl<'a> BodyReader<'a> {
         self.record += 1;
         self.seg_events_left -= 1;
         self.events_read += 1;
-        self.counters.absorb(&event);
+        self.counters.absorb(slot.as_ref().expect(DECODED));
         if self.seg_events_left == 0 {
             if self.cur.pos != self.seg_end {
                 return Err(WireError::TrailingBytes { at: self.cur.pos });
@@ -1170,27 +1269,31 @@ impl<'a> BodyReader<'a> {
             self.cur.pos = self.seg_end + 4;
             self.seg += 1;
         }
-        Ok(Some(event))
+        Ok(Some(slot))
     }
 
+    /// Every event, each moved out of its slot, so the next record of
+    /// its tag decodes into a fresh event.
     fn collect(mut self) -> Result<Vec<CampaignEvent>, WireError> {
         let mut events = Vec::with_capacity(self.total_events.min(1 << 20) as usize);
-        while let Some(e) = self.next_event()? {
-            events.push(e);
+        while let Some(slot) = self.next_event()? {
+            events.push(slot.take().expect(DECODED));
         }
         Ok(events)
     }
 
-    /// Stream every event into a fresh [`ReplayFold`], never holding
-    /// more than one decoded event.
-    fn fold(mut self) -> Result<ReplayFold, ReplayError> {
+    /// Stream every event into a fresh [`ReplayFold`], which borrows each
+    /// from its slot.
+    fn fold<K: Keep>(mut self) -> Result<ReplayFold<K>, ReplayError> {
         let mut fold = ReplayFold::new();
-        while let Some(event) = self.next_event()? {
-            fold.push(&event)?;
+        while let Some(slot) = self.next_event()? {
+            fold.push(slot.as_ref().expect(DECODED))?;
         }
         Ok(fold)
     }
 }
+
+const DECODED: &str = "next_event returns the slot it just decoded into";
 
 /// Decode one self-validating campaign body.
 fn decode_ledger(body: &[u8]) -> Result<CampaignLedger, WireError> {
@@ -1500,10 +1603,11 @@ impl ServiceCheckpoint {
 
 /// Replay serialized campaign-ledger bytes directly.
 ///
-/// For binary artifacts this **streams**: each record is decoded,
-/// validated (segment CRC, chained fold, snapshot counters), folded
-/// into the replay, and dropped — memory stays bounded however long the
-/// ledger, which is the point of segment-based compaction. Legacy JSON
+/// For binary artifacts this **streams**: each record is decoded over
+/// the last event of its tag, validated (segment CRC, chained fold,
+/// snapshot counters) and folded into the replay — memory stays bounded
+/// however long the ledger, which is the point of segment-based
+/// compaction. Legacy JSON
 /// bytes take the classic decode-then-[`replay_ledger`](super::replay_ledger)
 /// path and produce byte-identical reports.
 pub fn replay_ledger_bytes(bytes: &[u8]) -> Result<ReplayOutcome, ReplayError> {
@@ -1514,7 +1618,7 @@ pub fn replay_ledger_bytes(bytes: &[u8]) -> Result<ReplayOutcome, ReplayError> {
         }
         LedgerEncoding::Binary => {
             let body = check_envelope(bytes, KIND_CAMPAIGN)?;
-            BodyReader::new(body)?.fold()?.finish()
+            BodyReader::new(body)?.fold::<Candidates>()?.finish()
         }
     }
 }
@@ -1524,9 +1628,10 @@ pub fn replay_ledger_bytes(bytes: &[u8]) -> Result<ReplayOutcome, ReplayError> {
 /// aggregate exactly as
 /// [`replay_fleet_ledger`](super::replay_fleet_ledger) does — through
 /// the same driver, so campaign bodies fold in parallel, one worker per
-/// host core, no knowledge store is built, and a corrupt or tampered
-/// fleet is refused with the error of its first failing campaign in
-/// shard order.
+/// host core, no knowledge store is built or proposal cloned, each
+/// campaign's seed is checked against its position, and a corrupt or
+/// tampered fleet is refused with the error of its first failing
+/// campaign in shard order.
 pub fn replay_fleet_ledger_bytes(bytes: &[u8]) -> Result<FleetReport, ReplayError> {
     replay_fleet_ledger_bytes_on(bytes, 0)
 }
@@ -1545,7 +1650,7 @@ pub(crate) fn replay_fleet_ledger_bytes_on(
         LedgerEncoding::Binary => {
             let (master_seed, slices) = fleet_body_slices(bytes)?;
             super::fold_fleet(master_seed, &slices, threads, |slice| {
-                BodyReader::new(slice)?.fold()?.finish_report()
+                BodyReader::new(slice)?.fold()
             })
         }
     }
@@ -1654,6 +1759,200 @@ mod tests {
                 tokens_total: 160,
             },
         ]
+    }
+
+    /// One event of every tag whose strings, `params` and scalars depend
+    /// on `round`, with strings of `len` repeats (0: every string empty)
+    /// and `rationale` as the proposal's text.
+    fn every_tag(round: u64, len: usize, rationale: &str) -> Vec<CampaignEvent> {
+        let s = |name: &str| -> Cow<'static, str> {
+            match len {
+                0 => Cow::Borrowed(""),
+                _ => format!("{name}-{}", "x".repeat(len)).into(),
+            }
+        };
+        let at = SimTime::from_nanos(round * 1_000 + len as u64);
+        let x = round as f64 + len as f64 / 8.0;
+        let n = round as usize + len;
+        let even = round.is_multiple_of(2);
+        vec![
+            CampaignEvent::CampaignStarted {
+                cell_label: s("cell"),
+                seed: round,
+                planner: s("planner"),
+                lanes: n,
+                horizon: SimDuration::from_nanos(round + 1),
+                threshold: x,
+                max_experiments: round,
+                records_knowledge: even,
+            },
+            CampaignEvent::IterationStarted {
+                lane: n,
+                at,
+                decision_ready: at,
+            },
+            CampaignEvent::CandidateProposed {
+                lane: n,
+                params: (0..len).map(|i| x + i as f64).collect(),
+                rationale: rationale.to_string().into(),
+                confidence: x,
+                hallucinated: !even,
+            },
+            CampaignEvent::ExecutionScheduled {
+                lane: n,
+                batch: len,
+                duration: SimDuration::from_nanos(round),
+                done_at: at,
+            },
+            CampaignEvent::ResultObserved {
+                lane: n,
+                experiment: round,
+                score: x,
+                hit: even,
+                peak: (len > 0).then_some(len),
+                tokens_in: round,
+                tokens_out: round + 1,
+            },
+            CampaignEvent::GateDecision {
+                lane: n,
+                rejected_total: round,
+            },
+            CampaignEvent::OmegaRewrite {
+                lane: n,
+                rewrites_total: round as u32,
+            },
+            CampaignEvent::IterationEnded {
+                lane: n,
+                proposed: len,
+                hits: round,
+                tokens_total: round * 10,
+            },
+            CampaignEvent::CampaignFinished {
+                experiments: round,
+                total_hits: round,
+                distinct_discoveries: len,
+                best_score: x,
+                time_to_first_hours: (len > 0).then_some(x),
+                decision_wait_hours: x,
+                execution_hours: x,
+                rejected_proposals: round,
+                omega_rewrites: round as u32,
+                kg_nodes: n,
+                prov_activities: n,
+                tokens: round,
+            },
+            CampaignEvent::CheckpointTaken {
+                committed: n,
+                total: n + 1,
+            },
+            CampaignEvent::CoordinatorKilled { after_commits: n },
+            CampaignEvent::CampaignPlaced {
+                campaign: n,
+                facility: s("facility"),
+                nodes: round,
+                arrival: at,
+                evacuation: even,
+            },
+            CampaignEvent::DataTransferred {
+                campaign: n,
+                from: s("from"),
+                to: s("to"),
+                gigabytes: x,
+                duration: SimDuration::from_nanos(round),
+                evacuation: !even,
+            },
+            CampaignEvent::OutageStruck {
+                site: s("site"),
+                at,
+                rerouted: n,
+            },
+            CampaignEvent::SubmissionAdmitted {
+                tenant: s("tenant"),
+                admission_index: n,
+                round: n,
+            },
+            CampaignEvent::SubmissionRejected {
+                tenant: s("rejected"),
+                submission_index: n,
+                round: n,
+                reason: [
+                    RejectReason::UnknownTenant,
+                    RejectReason::QueueFull,
+                    RejectReason::AdmissionCapExhausted,
+                ][n % 3],
+            },
+            CampaignEvent::CampaignDispatched {
+                tenant: s("dispatched"),
+                admission_index: n,
+                round: n,
+                slot: n,
+            },
+            CampaignEvent::EnsembleMessage {
+                lane: n,
+                round,
+                performative: s("performative"),
+                sender: s("sender"),
+                receiver: s("receiver"),
+                conversation: round,
+                frame_bytes: len as u64,
+            },
+            CampaignEvent::TournamentMatch {
+                lane: n,
+                round,
+                left: n,
+                right: n + 1,
+                winner: n,
+                margin: x,
+            },
+            CampaignEvent::MetaReview {
+                lane: n,
+                round,
+                generator_weight: x,
+                evolver_weight: 1.0 - x,
+                critiques: round,
+            },
+        ]
+    }
+
+    /// The in-place decoder's oracle. Every tag recurs with longer, then
+    /// shorter, then empty strings and `params`, and the rationale
+    /// switches between tokenized and whole-interned text, across two
+    /// segments. Every event the reader lends from a reused slot equals
+    /// the event a full decode moves out, and the encoded one.
+    #[test]
+    fn reused_slots_lend_the_events_a_full_decode_returns() {
+        let rounds = [
+            (3, "alpha beta gamma delta epsilon"),
+            (9, "alpha beta gamma delta epsilon zeta eta theta iota"),
+            (1, "two  spaces stay whole"),
+            (0, ""),
+            (5, "lambda mu nu xi omicron pi rho sigma"),
+            (2, "grid scan"),
+        ];
+        let mut events = Vec::new();
+        for pass in 0..2u64 {
+            for (round, &(len, rationale)) in (0..).zip(&rounds) {
+                events.extend(every_tag(pass * 10 + round, len, rationale));
+            }
+        }
+        assert_eq!(events.len(), TAGS * rounds.len() * 2);
+        assert!(events.len() > SEGMENT_EVENTS, "the stream spans segments");
+        let bytes = CampaignLedger {
+            events: events.clone(),
+        }
+        .to_bytes(LedgerEncoding::Binary);
+        let body = check_envelope(&bytes, KIND_CAMPAIGN).expect("a campaign file");
+
+        let mut reader = BodyReader::new(body).expect("valid header");
+        let mut lent = Vec::new();
+        while let Some(slot) = reader.next_event().expect("valid body") {
+            lent.push(slot.as_ref().expect(DECODED).clone());
+        }
+        let collected = BodyReader::new(body)
+            .and_then(BodyReader::collect)
+            .expect("valid body");
+        assert_eq!(lent, collected);
+        assert_eq!(collected, events);
     }
 
     #[test]
@@ -2040,6 +2339,95 @@ mod tests {
                 let folded = replay_fleet_ledger_bytes_on(bytes, threads);
                 assert_eq!(folded.as_ref(), Ok(&serial), "{threads} threads");
             }
+        }
+    }
+
+    /// A 3-admission service ledger whose dispatch order is not its
+    /// admission order.
+    fn service_ledger() -> (FleetReport, FleetLedger) {
+        use crate::{plan_service, run_service, CampaignConfig, Cell, TenantSpec};
+        let mut cfg = ServiceConfig::new(31);
+        cfg.threads = 1;
+        cfg.ingest_per_round = 100;
+        cfg.dispatch_per_round = 1;
+        cfg.push_tenant(TenantSpec::new("alice"));
+        cfg.push_tenant(TenantSpec::new("bob").with_weight(3));
+        let mut campaign = CampaignConfig::for_cell(Cell::traditional_wms(), 0);
+        campaign.horizon = SimDuration::from_hours(2);
+        for tenant in ["alice", "alice", "bob"] {
+            cfg.submit(tenant, campaign.clone());
+        }
+        let plan = plan_service(&cfg).expect("valid service config");
+        assert_eq!(plan.admitted.len(), 3);
+        assert_ne!(plan.dispatch_order, [0, 1, 2], "dispatch reorders");
+        let (report, ledger) =
+            run_service(&MaterialsSpace::generate(3, 8, 5), &cfg).expect("service runs");
+        (report.fleet, ledger)
+    }
+
+    /// Both fleet replays, from the value and from re-encoded bytes, at
+    /// every worker count: all give the same `Result`, which is returned.
+    fn replayed_alike(ledger: &FleetLedger) -> Result<FleetReport, ReplayError> {
+        let bytes = ledger.to_bytes(LedgerEncoding::Binary);
+        let expected = super::super::replay_fleet_ledger_on(ledger, 1);
+        for threads in THREADS {
+            assert_eq!(
+                super::super::replay_fleet_ledger_on(ledger, threads),
+                expected
+            );
+            assert_eq!(replay_fleet_ledger_bytes_on(&bytes, threads), expected);
+        }
+        expected
+    }
+
+    #[test]
+    fn reordered_duplicated_or_reseeded_campaigns_are_refused() {
+        let fleet = mixed_fleet(3, SimDuration::from_hours(2), 8);
+        for (live, ledger) in [fleet, service_ledger()] {
+            assert_eq!(replayed_alike(&ledger), Ok(live.clone()));
+            let edited = |edit: &dyn Fn(&mut FleetLedger)| {
+                let mut l = ledger.clone();
+                edit(&mut l);
+                replayed_alike(&l)
+            };
+            let refused = |index| Err(ReplayError::SeedMismatch { index });
+            assert_eq!(edited(&|l| drop(l.campaigns.remove(0))), refused(0));
+            let duplicate = |l: &mut FleetLedger| l.campaigns.insert(1, l.campaigns[0].clone());
+            assert_eq!(edited(&duplicate), refused(1));
+            assert_eq!(edited(&|l| l.campaigns.swap(0, 2)), refused(0));
+            assert_eq!(edited(&|l| l.master_seed ^= 1), refused(0));
+            // The first failure in shard order wins: a misplaced campaign
+            // before a tampered one, and a tampered one before a
+            // misplaced one.
+            let tamper = |c: &mut CampaignLedger| {
+                let last = c.events.len() - 1;
+                let CampaignEvent::CampaignFinished { experiments, .. } = &mut c.events[last]
+                else {
+                    panic!("a campaign ends with CampaignFinished");
+                };
+                *experiments += 1;
+            };
+            assert_eq!(
+                edited(&|l| {
+                    l.campaigns.swap(1, 2);
+                    tamper(&mut l.campaigns[2]);
+                }),
+                refused(1)
+            );
+            assert!(matches!(
+                edited(&|l| {
+                    tamper(&mut l.campaigns[1]);
+                    l.campaigns[2] = l.campaigns[0].clone();
+                }),
+                Err(ReplayError::IntegrityMismatch {
+                    field: "experiments",
+                    ..
+                })
+            ));
+            // The hole left for a format that commits to the campaign
+            // count: dropping the last campaign still replays.
+            let dropped_last = edited(&|l| drop(l.campaigns.pop()));
+            assert!(dropped_last.is_ok_and(|r| r != live && r.reports.len() == 2));
         }
     }
 

@@ -14,10 +14,11 @@
 
 use evoflow_agents::{LibrarianAgent, Pattern};
 use evoflow_core::{
-    replay_fleet_ledger, replay_ledger, resume_campaign_fleet_recorded, run_campaign_fleet,
-    run_campaign_fleet_recorded, run_campaign_fleet_recorded_until, run_campaign_profiled,
-    run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger, CampaignReport, Cell,
-    FleetConfig, MaterialsSpace, PhaseProfiler, PlannerKind, ReplayError,
+    replay_fleet_ledger, replay_ledger, replay_ledger_bytes, resume_campaign_fleet_recorded,
+    run_campaign_fleet, run_campaign_fleet_recorded, run_campaign_fleet_recorded_until,
+    run_campaign_profiled, run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger,
+    CampaignReport, Cell, FleetConfig, LedgerEncoding, MaterialsSpace, PhaseProfiler, PlannerKind,
+    ReplayError,
 };
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
@@ -70,7 +71,10 @@ fn every_planner_replays_to_the_live_report() {
 }
 
 /// The intelligent cell's stores are rebuilt *identically*, not just to
-/// equal counts: graph and provenance compare structurally equal.
+/// equal counts: graph and provenance compare structurally equal, and
+/// the streaming replay of the EVWL bytes, which decodes every proposal's
+/// `params` and rationale over the previous one's, builds the same
+/// stores as the replay of the events.
 #[test]
 fn replay_rebuilds_identical_knowledge_stores() {
     let space = space();
@@ -86,6 +90,18 @@ fn replay_rebuilds_identical_knowledge_stores() {
     assert_eq!(
         serde_json::to_string(&a.knowledge).expect("serialize"),
         serde_json::to_string(&b.knowledge).expect("serialize")
+    );
+
+    let streamed =
+        replay_ledger_bytes(&ledger.to_bytes(LedgerEncoding::Binary)).expect("bytes replay");
+    assert_eq!(streamed, a);
+    assert_eq!(
+        serde_json::to_string(&streamed.knowledge).expect("serialize"),
+        serde_json::to_string(&a.knowledge).expect("serialize")
+    );
+    assert_eq!(
+        serde_json::to_string(&streamed.provenance).expect("serialize"),
+        serde_json::to_string(&a.provenance).expect("serialize")
     );
 }
 
