@@ -82,9 +82,9 @@ impl HypothesisAgent {
     }
 
     /// Propose `n` candidates around an already-selected anchor (the
-    /// caller's best visible evidence), without materialising an evidence
-    /// slice. This is the allocation-free path the campaign hot loop uses:
-    /// lanes keep their evidence in place and pass only a borrowed anchor.
+    /// caller's best evidence), without materialising an evidence slice.
+    /// This is the allocation-free path the campaign hot loop uses: it
+    /// keeps its best so far in place and passes only a borrowed anchor.
     pub fn propose_anchored(&mut self, anchor: Option<&[f64]>, n: usize) -> Vec<Candidate> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -436,7 +436,9 @@ impl LibrarianAgent {
     }
 
     /// Record one campaign iteration: hypothesis → experiment → result,
-    /// with full provenance including the AI reasoning trace. Every call
+    /// with full provenance including the AI reasoning trace. Of the
+    /// proposal it reads only the hypothesis's `rationale` and whether it
+    /// was `hallucinated` (the trace's flag). Every call
     /// grows the stores by exactly [`NODES_PER_ITERATION`](Self::NODES_PER_ITERATION),
     /// [`ACTIVITIES_PER_ITERATION`](Self::ACTIVITIES_PER_ITERATION) and
     /// [`ENTITIES_PER_ITERATION`](Self::ENTITIES_PER_ITERATION), so a
@@ -444,7 +446,8 @@ impl LibrarianAgent {
     /// Returns the knowledge-graph key of the result node.
     pub fn record_iteration(
         &mut self,
-        candidate: &Candidate,
+        rationale: &str,
+        hallucinated: bool,
         measured_score: f64,
         usage: TokenUsage,
         success_threshold: f64,
@@ -456,8 +459,7 @@ impl LibrarianAgent {
         let res_key = format!("result/{id}");
 
         self.kg.upsert_node(&hyp_key, NodeKind::Hypothesis);
-        self.kg
-            .set_prop(&hyp_key, "rationale", candidate.rationale.as_ref());
+        self.kg.set_prop(&hyp_key, "rationale", rationale);
         self.kg.upsert_node(&exp_key, NodeKind::Experiment);
         self.kg.upsert_node(&res_key, NodeKind::Result);
         self.kg
@@ -478,10 +480,10 @@ impl LibrarianAgent {
             vec![],
             ReasoningTrace {
                 model: "cogsim".into(),
-                prompt_digest: evoflow_sim::fnv1a(candidate.rationale.as_bytes()),
+                prompt_digest: evoflow_sim::fnv1a(rationale.as_bytes()),
                 input_tokens: usage.input_tokens,
                 output_tokens: usage.output_tokens,
-                flagged: candidate.hallucinated,
+                flagged: hallucinated,
             },
         );
         let hyp_e = self.prov.record_entity(&hyp_key, Some(think));
@@ -741,17 +743,12 @@ mod tests {
     #[test]
     fn librarian_builds_linked_lineage() {
         let mut l = LibrarianAgent::new();
-        let good = Candidate {
-            params: vec![0.5],
-            rationale: "promising dopant".into(),
-            confidence: 0.8,
-            hallucinated: false,
-        };
-        let key = l.record_iteration(&good, 0.9, TokenUsage::default(), 0.5);
+        let good = "promising dopant";
+        let key = l.record_iteration(good, false, 0.9, TokenUsage::default(), 0.5);
         assert_eq!(key, "result/1");
         assert_eq!(l.kg.node_count(), 3);
         assert_eq!(l.supported_hypotheses(), 1);
-        l.record_iteration(&good, 0.1, TokenUsage::default(), 0.5);
+        l.record_iteration(good, false, 0.1, TokenUsage::default(), 0.5);
         assert_eq!(l.supported_hypotheses(), 1); // second was refuted
         assert_eq!(l.prov.activity_count(), 4); // 2 reasoning + 2 experiments
     }
@@ -760,17 +757,13 @@ mod tests {
     fn record_iteration_grows_the_stores_by_the_per_iteration_constants() {
         let mut l = LibrarianAgent::new();
         for i in 1..=5usize {
-            let c = Candidate {
-                params: vec![0.1 * i as f64],
-                rationale: if i % 2 == 0 {
-                    "same words".into()
-                } else {
-                    format!("r{i}").into()
-                },
-                confidence: 0.5,
-                hallucinated: i == 3,
+            let rationale = if i % 2 == 0 {
+                "same words".to_string()
+            } else {
+                format!("r{i}")
             };
-            l.record_iteration(&c, i as f64 / 5.0, TokenUsage::default(), 0.5);
+            let score = i as f64 / 5.0;
+            l.record_iteration(&rationale, i == 3, score, TokenUsage::default(), 0.5);
             assert_eq!(l.kg.node_count(), i * LibrarianAgent::NODES_PER_ITERATION);
             assert_eq!(
                 l.prov.activity_count(),

@@ -10,9 +10,10 @@
 //!    [`Planner`](crate::planner::Planner) behind the
 //!    [`planner`](crate::planner) layer, and any cell may override its
 //!    default via [`CampaignConfig::planner`].
-//! 2. **Composition pattern** (how many lanes run and how they share
-//!    evidence): one lane, overlapped pipeline stages, manager-shared
-//!    pools, mesh-shared pools, or k-local swarm sharing.
+//! 2. **Composition pattern** (how many lanes run and how they overlap):
+//!    one lane, overlapped pipeline stages, or three, four or eight
+//!    concurrent lanes for manager, mesh and swarm. Every lane's anchor is
+//!    the campaign-wide best so far; no composition shares less.
 //! 3. **Coordination mode** (who closes the loop): a human with realistic
 //!    decision latency and working hours, or agents at inference latency.
 //!
@@ -30,7 +31,7 @@ use evoflow_facility::HumanModel;
 use evoflow_sim::{RngRegistry, SimDuration, SimTime};
 use evoflow_sm::IntelligenceLevel;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Who closes the decision loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -331,159 +332,6 @@ fn execution_time(pattern: Pattern, batch: usize, rng: &mut evoflow_sim::SimRng)
     }
 }
 
-struct Lane {
-    clock: SimTime,
-    evidence: VecDeque<Evidence>,
-}
-
-/// Incrementally maintained anchors: the per-lane running best plus the
-/// campaign-wide best, updated once per result as it arrives.
-///
-/// This replaces the per-iteration [`best_visible`] rescan of every
-/// visible evidence window (O(lanes × window) per proposal) with an O(1)
-/// update per result and an O(lanes)-at-worst fold per proposal. The
-/// fold applies the same composition sharing rules and the same
-/// keep-current-on-ties comparison as the reference scan, over per-lane
-/// running bests instead of windows. Because the campaign-wide best is
-/// always part of the fold's seed (the global best is "always visible"
-/// by design — see [`EVIDENCE_WINDOW`]), every window entry is ≤ it, so
-/// the result is value-identical to the scan; debug builds assert this
-/// against [`best_visible`] on every anchored iteration.
-struct AnchorTracker {
-    lane_best: Vec<Option<Evidence>>,
-    global: Option<Evidence>,
-}
-
-impl AnchorTracker {
-    fn new(n_lanes: usize) -> Self {
-        AnchorTracker {
-            lane_best: vec![None; n_lanes],
-            global: None,
-        }
-    }
-
-    /// Fold one result in. Strict `>` keeps the earliest best on ties,
-    /// matching the reference scan's tie-break.
-    fn record(&mut self, lane: usize, ev: &Evidence) {
-        if self.lane_best[lane]
-            .as_ref()
-            .map(|b| ev.score > b.score)
-            .unwrap_or(true)
-        {
-            self.lane_best[lane] = Some(ev.clone());
-        }
-        if self
-            .global
-            .as_ref()
-            .map(|b| ev.score > b.score)
-            .unwrap_or(true)
-        {
-            self.global = Some(ev.clone());
-        }
-    }
-
-    /// The campaign-wide best so far. Only the reference-scan
-    /// equivalence checks need it outside this impl.
-    #[cfg(any(test, debug_assertions))]
-    fn global(&self) -> Option<&Evidence> {
-        self.global.as_ref()
-    }
-
-    /// The best evidence visible to lane `li` under the composition's
-    /// sharing pattern — the incremental counterpart of
-    /// [`best_visible`], same fold over per-lane bests.
-    fn visible(&self, li: usize, composition: Pattern, shares_globally: bool) -> Option<&Evidence> {
-        fn better<'a>(best: Option<&'a Evidence>, e: &'a Evidence) -> Option<&'a Evidence> {
-            match best {
-                Some(cur) if cur.score >= e.score => Some(cur),
-                _ => Some(e),
-            }
-        }
-        let mut best = self.global.as_ref();
-        if shares_globally {
-            for e in self.lane_best.iter().flatten() {
-                best = better(best, e);
-            }
-        } else if let Pattern::Swarm { k } = composition {
-            // k-local ring sharing.
-            let n = self.lane_best.len();
-            let half = (k / 2).max(1);
-            if let Some(e) = &self.lane_best[li] {
-                best = better(best, e);
-            }
-            for d in 1..=half {
-                if let Some(e) = &self.lane_best[(li + d) % n] {
-                    best = better(best, e);
-                }
-                if let Some(e) = &self.lane_best[(li + n - d % n) % n] {
-                    best = better(best, e);
-                }
-            }
-        } else if let Some(e) = &self.lane_best[li] {
-            best = better(best, e);
-        }
-        best
-    }
-}
-
-/// The best evidence visible to lane `li` under the composition's sharing
-/// pattern, borrowed straight out of the lanes — the decision phase only
-/// ever needs the argmax, so nothing is copied on the hot path.
-///
-/// Retained as the reference implementation for [`AnchorTracker`]: debug
-/// builds re-run this scan on every anchored iteration and assert the
-/// incremental answer matches, and the equivalence tests sweep it across
-/// compositions.
-#[cfg(any(test, debug_assertions))]
-fn best_visible<'a>(
-    lanes: &'a [Lane],
-    li: usize,
-    composition: Pattern,
-    shares_globally: bool,
-    global_best: Option<&'a Evidence>,
-) -> Option<&'a Evidence> {
-    fn better<'a>(best: Option<&'a Evidence>, e: &'a Evidence) -> Option<&'a Evidence> {
-        match best {
-            Some(cur) if cur.score >= e.score => Some(cur),
-            _ => Some(e),
-        }
-    }
-    let mut best = global_best;
-    if shares_globally {
-        for lane in lanes {
-            for e in &lane.evidence {
-                best = better(best, e);
-            }
-        }
-    } else if let Pattern::Swarm { k } = composition {
-        // k-local ring sharing.
-        let n = lanes.len();
-        let half = (k / 2).max(1);
-        for e in &lanes[li].evidence {
-            best = better(best, e);
-        }
-        for d in 1..=half {
-            for e in &lanes[(li + d) % n].evidence {
-                best = better(best, e);
-            }
-            for e in &lanes[(li + n - d % n) % n].evidence {
-                best = better(best, e);
-            }
-        }
-    } else {
-        for e in &lanes[li].evidence {
-            best = better(best, e);
-        }
-    }
-    best
-}
-
-/// Evidence retained per lane. Bounding the window keeps per-iteration
-/// decision cost O(window) instead of O(total experiments) — long
-/// campaigns would otherwise slow down quadratically. The global best is
-/// tracked separately and always visible.
-const EVIDENCE_WINDOW: usize = 96;
-
 /// Flush the pending event batch to every observer via
 /// [`LedgerObserver::on_batch`]: order within the batch is emission
 /// order, so sinks cannot distinguish this from per-event delivery.
@@ -562,11 +410,6 @@ pub fn run_campaign_profiled(
     let coordination = cfg.effective_coordination();
     let horizon = SimTime::ZERO + cfg.horizon;
 
-    let shares_globally = matches!(
-        cfg.cell.composition,
-        Pattern::Pipeline | Pattern::Hierarchical | Pattern::Mesh
-    );
-
     // The decide step is a pluggable Planner (constructed once, shared
     // across lanes — the Intelligence Service layer is a shared service,
     // Fig 2). Recording is part of the loop's *record* phase, not the
@@ -579,7 +422,10 @@ pub fn run_campaign_profiled(
         dim,
         batch_per_lane: cfg.batch_per_lane,
         n_lanes,
-        shares_globally,
+        shares_globally: matches!(
+            cfg.cell.composition,
+            Pattern::Pipeline | Pattern::Hierarchical | Pattern::Mesh
+        ),
     });
     // Planner overrides are visible in the label — including their
     // parameters — so fleet aggregation never folds differently-planned
@@ -614,28 +460,26 @@ pub fn run_campaign_profiled(
     // Reused buffer for cooperative-planner transcripts (ensemble).
     let mut ensemble_events: Vec<CampaignEvent> = Vec::new();
 
-    let mut lanes: Vec<Lane> = (0..n_lanes)
-        .map(|_| Lane {
-            clock: SimTime::ZERO,
-            evidence: VecDeque::with_capacity(EVIDENCE_WINDOW + 1),
-        })
-        .collect();
-
+    let mut clocks = vec![SimTime::ZERO; n_lanes];
     let mut tally = CampaignTally::new();
-    let mut anchors = AnchorTracker::new(n_lanes);
+    // The anchor lent to anchored planners: the campaign-wide best so
+    // far, the same for every lane under every composition. Strict `>`
+    // keeps the earliest of equal scores, and a NaN score (which `max`
+    // also drops from the report's best score) never becomes the best.
+    let mut best: Option<Evidence> = None;
 
     'campaign: loop {
         // Pick the lane with the earliest clock (they run concurrently).
         let li = (0..n_lanes)
-            .min_by_key(|&i| lanes[i].clock)
-            .expect("at least one lane");
-        if lanes[li].clock >= horizon {
+            .min_by_key(|&i| clocks[i])
+            .expect("effective_lanes() is at least 1");
+        let now = clocks[li];
+        if now >= horizon {
             break 'campaign;
         }
         if tally.experiments() >= cfg.max_experiments {
             break 'campaign;
         }
-        let now = lanes[li].clock;
 
         // ---- Decision phase ---------------------------------------------
         let decision_done = match coordination {
@@ -658,33 +502,15 @@ pub fn run_campaign_profiled(
         }
 
         // Every intelligence level routes through the Planner layer: the
-        // anchor (best visible evidence) is computed only for planners
-        // that consult it, borrowed straight out of the lanes.
+        // anchor is lent only to planners that consult it.
         let proposal_budget = planner.batch_size().unwrap_or(cfg.batch_per_lane).max(1);
         let mut chosen: Vec<Candidate> = Vec::with_capacity(proposal_budget);
         {
             let t = prof.begin();
             let anchor = if planner.wants_anchor() {
                 let ta = prof.begin();
-                let a = anchors.visible(li, cfg.cell.composition, shares_globally);
+                let a = best.as_ref();
                 prof.end(Phase::ProposeAnchor, ta);
-                #[cfg(debug_assertions)]
-                {
-                    // The incremental tracker must answer exactly what
-                    // the reference window scan would.
-                    let scan = best_visible(
-                        &lanes,
-                        li,
-                        cfg.cell.composition,
-                        shares_globally,
-                        anchors.global(),
-                    );
-                    debug_assert_eq!(
-                        a.map(|e| (e.score, e.params.as_slice())),
-                        scan.map(|e| (e.score, e.params.as_slice())),
-                        "anchor tracker drifted from reference scan"
-                    );
-                }
                 a
             } else {
                 None
@@ -763,15 +589,11 @@ pub fn run_campaign_profiled(
                     tokens_out: usage.output_tokens,
                 });
             }
-
-            let ev = Evidence {
-                params: c.params.clone(),
-                score,
-            };
-            anchors.record(li, &ev);
-            lanes[li].evidence.push_back(ev);
-            if lanes[li].evidence.len() > EVIDENCE_WINDOW {
-                lanes[li].evidence.pop_front();
+            if best.as_ref().map_or(!score.is_nan(), |b| score > b.score) {
+                best = Some(Evidence {
+                    params: c.params.clone(),
+                    score,
+                });
             }
         }
 
@@ -813,7 +635,7 @@ pub fn run_campaign_profiled(
         // the iteration produced.
         flush_events(&mut batch, prof, observers);
 
-        lanes[li].clock = done_at;
+        clocks[li] = done_at;
     }
 
     // No planner call follows the last iteration, so these are the
@@ -977,54 +799,6 @@ mod tests {
         cfg.max_experiments = 100;
         let r = run_campaign(&space(), &cfg);
         assert!(r.experiments <= 100);
-    }
-
-    #[test]
-    fn anchor_tracker_matches_reference_scan_across_compositions() {
-        use evoflow_sim::SimRng;
-        let patterns = [
-            (Pattern::Single, false, 1usize),
-            (Pattern::Pipeline, true, 1),
-            (Pattern::Hierarchical, true, 3),
-            (Pattern::Mesh, true, 4),
-            (Pattern::Swarm { k: 4 }, false, 8),
-            (Pattern::Swarm { k: 2 }, false, 3),
-        ];
-        for (pi, &(composition, shares_globally, n_lanes)) in patterns.iter().enumerate() {
-            let mut rng = SimRng::from_seed_u64(0xA11C0 + pi as u64);
-            let mut lanes: Vec<Lane> = (0..n_lanes)
-                .map(|_| Lane {
-                    clock: SimTime::ZERO,
-                    evidence: VecDeque::new(),
-                })
-                .collect();
-            let mut tracker = AnchorTracker::new(n_lanes);
-            for step in 0..600 {
-                let li = rng.below(n_lanes);
-                // Coarse scores force plenty of exact ties, exercising
-                // the keep-current tie-break both scan and tracker use.
-                let score = (rng.uniform() * 8.0).floor() / 8.0;
-                let ev = Evidence {
-                    params: vec![rng.uniform(), score],
-                    score,
-                };
-                tracker.record(li, &ev);
-                lanes[li].evidence.push_back(ev);
-                if lanes[li].evidence.len() > EVIDENCE_WINDOW {
-                    lanes[li].evidence.pop_front();
-                }
-                for q in 0..n_lanes {
-                    let fast = tracker.visible(q, composition, shares_globally);
-                    let scan =
-                        best_visible(&lanes, q, composition, shares_globally, tracker.global());
-                    assert_eq!(
-                        fast.map(|e| (e.score, e.params.clone())),
-                        scan.map(|e| (e.score, e.params.clone())),
-                        "{composition:?} lane {q} step {step}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -103,10 +103,12 @@ impl MaterialsSpace {
                 let d2: f64 = x.iter().zip(&p.center).map(|(a, b)| (a - b).powi(2)).sum();
                 d2.sqrt() < 2.0 * p.width
             })
+            // The filter keeps only finite, non-negative distances, where
+            // `total_cmp` orders exactly as `partial_cmp` does.
             .min_by(|(_, a), (_, b)| {
                 let da: f64 = x.iter().zip(&a.center).map(|(u, v)| (u - v).powi(2)).sum();
                 let db: f64 = x.iter().zip(&b.center).map(|(u, v)| (u - v).powi(2)).sum();
-                da.partial_cmp(&db).expect("finite distances")
+                da.total_cmp(&db)
             })
             .map(|(i, _)| i)
     }

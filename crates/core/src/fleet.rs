@@ -786,8 +786,10 @@ impl FleetCheckpoint {
     }
 }
 
-/// Why a resume was refused — by the one handshake every fleet,
-/// federated and service checkpoint goes through, or at the wire level.
+/// Why a resume was refused by the one handshake every fleet, federated
+/// and service checkpoint goes through. Checkpoint bytes are decoded
+/// first, by the checkpoint's `from_bytes`, which refuses them with a
+/// [`WireError`](crate::ledger::WireError).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetResumeError {
     /// A checkpoint's per-slot list does not have one entry per campaign
@@ -813,11 +815,6 @@ pub enum FleetResumeError {
         /// First slot whose report/ledger presence disagrees.
         index: usize,
     },
-    /// Serialized checkpoint bytes were refused at the wire level
-    /// (checksum, truncation, or structural corruption) before any
-    /// resume handshake could run. See
-    /// [`resume_campaign_fleet_recorded_bytes`](crate::ledger::wire::resume_campaign_fleet_recorded_bytes).
-    Corrupt(crate::ledger::WireError),
 }
 
 impl std::fmt::Display for FleetResumeError {
@@ -837,7 +834,6 @@ impl std::fmt::Display for FleetResumeError {
                 "slot {index} has a committed report and ledger that disagree \
                  on presence — the checkpoint is inconsistent"
             ),
-            FleetResumeError::Corrupt(e) => write!(f, "corrupt checkpoint bytes: {e}"),
         }
     }
 }

@@ -59,7 +59,7 @@ use crate::fleet::{
     execute_fleet_tasks_steal_timed, worker_threads, FleetReport, FLEET_SHARD_LABEL,
 };
 use crate::service::{RejectReason, SERVICE_SHARD_LABEL};
-use evoflow_agents::{Candidate, LibrarianAgent};
+use evoflow_agents::LibrarianAgent;
 use evoflow_cogsim::TokenUsage;
 use evoflow_knowledge::{KnowledgeGraph, ProvenanceStore};
 use evoflow_sim::{MetricsRegistry, RngRegistry, SimDuration, SimTime};
@@ -534,7 +534,7 @@ impl FleetLedger {
 /// audit's `kg_nodes` and `prov_activities` checks. A live campaign runs
 /// no sink; its counts follow from its experiment count.
 #[derive(Debug, Default)]
-pub struct KnowledgeSink(Pairing<Candidates>);
+pub struct KnowledgeSink(Pairing<Rationales>);
 
 impl KnowledgeSink {
     /// A sink that waits for a `CampaignStarted` event to configure
@@ -575,8 +575,9 @@ impl LedgerObserver for KnowledgeSink {
 pub(crate) trait Keep {
     type Proposal: std::fmt::Debug;
     type Record: std::fmt::Debug;
-    /// Keep a proposal; `candidate` clones it whole.
-    fn proposal(candidate: impl FnOnce() -> Candidate) -> Self::Proposal;
+    /// Keep a proposal; `hypothesis` clones its rationale and
+    /// hallucination flag, the only parts the librarian reads.
+    fn proposal(hypothesis: impl FnOnce() -> (Cow<'static, str>, bool)) -> Self::Proposal;
     /// Keep a pair.
     fn record(
         proposal: Self::Proposal,
@@ -586,25 +587,27 @@ pub(crate) trait Keep {
     ) -> Self::Record;
 }
 
-/// [`KnowledgeSink`]'s log: each proposal as a [`Candidate`], each pair
-/// as one [`LibrarianAgent::record_iteration`] call.
+/// [`KnowledgeSink`]'s log: each proposal as its rationale and
+/// hallucination flag, each pair as one
+/// [`LibrarianAgent::record_iteration`] call.
 #[derive(Debug)]
-pub(crate) struct Candidates;
+pub(crate) struct Rationales;
 
-impl Keep for Candidates {
-    type Proposal = Candidate;
+impl Keep for Rationales {
+    type Proposal = (Cow<'static, str>, bool);
     type Record = KnowledgeRecord;
-    fn proposal(candidate: impl FnOnce() -> Candidate) -> Candidate {
-        candidate()
+    fn proposal(hypothesis: impl FnOnce() -> Self::Proposal) -> Self::Proposal {
+        hypothesis()
     }
     fn record(
-        candidate: Candidate,
+        (rationale, hallucinated): Self::Proposal,
         score: f64,
         usage: TokenUsage,
         threshold: f64,
     ) -> KnowledgeRecord {
         KnowledgeRecord {
-            candidate,
+            rationale,
+            hallucinated,
             score,
             usage,
             threshold,
@@ -621,7 +624,7 @@ pub(crate) struct Counts;
 impl Keep for Counts {
     type Proposal = ();
     type Record = ();
-    fn proposal(_: impl FnOnce() -> Candidate) {}
+    fn proposal(_: impl FnOnce() -> (Cow<'static, str>, bool)) {}
     fn record(_: (), _: f64, _: TokenUsage, _: f64) {}
 }
 
@@ -670,18 +673,12 @@ impl<K: Keep> Pairing<K> {
                 self.enabled = *records_knowledge;
             }
             CampaignEvent::CandidateProposed {
-                params,
                 rationale,
-                confidence,
                 hallucinated,
                 ..
             } if self.enabled => {
-                self.pending.push_back(K::proposal(|| Candidate {
-                    params: params.clone(),
-                    rationale: rationale.clone(),
-                    confidence: *confidence,
-                    hallucinated: *hallucinated,
-                }));
+                self.pending
+                    .push_back(K::proposal(|| (rationale.clone(), *hallucinated)));
             }
             CampaignEvent::ResultObserved {
                 score,
@@ -704,11 +701,11 @@ impl<K: Keep> Pairing<K> {
     }
 }
 
-impl Pairing<Candidates> {
+impl Pairing<Rationales> {
     fn into_stores(self) -> (KnowledgeGraph, ProvenanceStore) {
         let mut librarian = LibrarianAgent::new();
         for r in &self.log {
-            librarian.record_iteration(&r.candidate, r.score, r.usage, r.threshold);
+            librarian.record_iteration(&r.rationale, r.hallucinated, r.score, r.usage, r.threshold);
         }
         (librarian.kg, librarian.prov)
     }
@@ -717,7 +714,8 @@ impl Pairing<Candidates> {
 /// One logged [`LibrarianAgent::record_iteration`] call.
 #[derive(Debug)]
 pub(crate) struct KnowledgeRecord {
-    candidate: Candidate,
+    rationale: Cow<'static, str>,
+    hallucinated: bool,
     score: f64,
     usage: TokenUsage,
     threshold: f64,
@@ -968,7 +966,7 @@ pub struct ReplayOutcome {
 /// [`KnowledgeSink`] does. A fleet replay reads only the report, so it
 /// counts the same pairs and clones no proposal.
 pub fn replay_ledger(ledger: &CampaignLedger) -> Result<ReplayOutcome, ReplayError> {
-    fold_events::<Candidates>(&ledger.events)?.finish()
+    fold_events::<Rationales>(&ledger.events)?.finish()
 }
 
 /// Fold a whole in-memory stream.
@@ -988,7 +986,7 @@ fn fold_events<K: Keep>(events: &[CampaignEvent]) -> Result<ReplayFold<K>, Repla
 /// the knowledge log, however long the ledger. Each event folds into the
 /// [`CampaignTally`] the live loop folds its steps into, so the finished
 /// report stays byte-identical either way. The knowledge log is
-/// [`KnowledgeSink`]'s ([`Candidates`]) when the stores are to be built,
+/// [`KnowledgeSink`]'s ([`Rationales`]) when the stores are to be built,
 /// and a count ([`Counts`]) when only the report is read.
 #[derive(Debug)]
 pub(crate) struct ReplayFold<K: Keep> {
@@ -1131,7 +1129,7 @@ impl<K: Keep> ReplayFold<K> {
     }
 }
 
-impl ReplayFold<Candidates> {
+impl ReplayFold<Rationales> {
     /// Cross-check the recorded totals and yield the reconstruction,
     /// stores included.
     pub(crate) fn finish(self) -> Result<ReplayOutcome, ReplayError> {
@@ -1540,29 +1538,28 @@ mod tests {
                     enabled = *records_knowledge;
                 }
                 CampaignEvent::CandidateProposed {
-                    params,
                     rationale,
-                    confidence,
                     hallucinated,
                     ..
-                } if enabled => pending.push_back(Candidate {
-                    params: params.clone(),
-                    rationale: rationale.clone(),
-                    confidence: *confidence,
-                    hallucinated: *hallucinated,
-                }),
+                } if enabled => pending.push_back((rationale.clone(), *hallucinated)),
                 CampaignEvent::ResultObserved {
                     score,
                     tokens_in,
                     tokens_out,
                     ..
                 } if enabled => {
-                    if let Some(c) = pending.pop_front() {
+                    if let Some((rationale, hallucinated)) = pending.pop_front() {
                         let usage = TokenUsage {
                             input_tokens: *tokens_in,
                             output_tokens: *tokens_out,
                         };
-                        librarian.record_iteration(&c, *score, usage, threshold);
+                        librarian.record_iteration(
+                            &rationale,
+                            hallucinated,
+                            *score,
+                            usage,
+                            threshold,
+                        );
                     }
                 }
                 CampaignEvent::IterationEnded { .. } => pending.clear(),

@@ -98,19 +98,12 @@
 //! `ledger.to_bytes(LedgerEncoding::Binary)` — so archives mix freely.
 
 use super::{
-    CampaignEvent, CampaignLedger, Candidates, FleetLedger, Keep, ReplayError, ReplayFold,
+    CampaignEvent, CampaignLedger, FleetLedger, Keep, Rationales, ReplayError, ReplayFold,
     ReplayOutcome,
 };
 use crate::campaign::CampaignReport;
-use crate::fleet::{
-    resume_campaign_fleet_recorded, FleetCheckpoint, FleetConfig, FleetLedgerCheckpoint,
-    FleetReport, FleetResumeError,
-};
-use crate::service::{
-    resume_service, RejectReason, ServiceCheckpoint, ServiceConfig, ServiceReport,
-    ServiceResumeError,
-};
-use crate::MaterialsSpace;
+use crate::fleet::{FleetCheckpoint, FleetLedgerCheckpoint, FleetReport};
+use crate::service::{RejectReason, ServiceCheckpoint};
 use evoflow_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -1618,7 +1611,7 @@ pub fn replay_ledger_bytes(bytes: &[u8]) -> Result<ReplayOutcome, ReplayError> {
         }
         LedgerEncoding::Binary => {
             let body = check_envelope(bytes, KIND_CAMPAIGN)?;
-            BodyReader::new(body)?.fold::<Candidates>()?.finish()
+            BodyReader::new(body)?.fold::<Rationales>()?.finish()
         }
     }
 }
@@ -1654,34 +1647,6 @@ pub(crate) fn replay_fleet_ledger_bytes_on(
             })
         }
     }
-}
-
-// ---- serialized-checkpoint resume -------------------------------------------
-
-/// Resume a recorded fleet from serialized checkpoint bytes (either
-/// encoding). Wire-level refusal surfaces as
-/// [`FleetResumeError::Corrupt`]; all resume handshakes are unchanged.
-pub fn resume_campaign_fleet_recorded_bytes(
-    space: &MaterialsSpace,
-    cfg: &FleetConfig,
-    bytes: &[u8],
-) -> Result<(FleetReport, FleetLedger), FleetResumeError> {
-    let checkpoint = FleetLedgerCheckpoint::from_bytes(bytes).map_err(FleetResumeError::Corrupt)?;
-    resume_campaign_fleet_recorded(space, cfg, &checkpoint)
-}
-
-/// Resume an interrupted service session from serialized checkpoint
-/// bytes (either encoding). Wire-level refusal surfaces as
-/// [`ServiceResumeError::Checkpoint`] holding
-/// [`FleetResumeError::Corrupt`]; all resume handshakes are unchanged.
-pub fn resume_service_bytes(
-    space: &MaterialsSpace,
-    cfg: &ServiceConfig,
-    bytes: &[u8],
-) -> Result<(ServiceReport, FleetLedger), ServiceResumeError> {
-    let checkpoint = ServiceCheckpoint::from_bytes(bytes)
-        .map_err(|e| ServiceResumeError::Checkpoint(FleetResumeError::Corrupt(e)))?;
-    resume_service(space, cfg, &checkpoint)
 }
 
 #[cfg(test)]
@@ -2263,7 +2228,10 @@ mod tests {
         horizon: SimDuration,
         max_experiments: u64,
     ) -> (FleetReport, FleetLedger) {
-        use crate::{run_campaign_fleet_recorded, CampaignConfig, Cell, PlannerKind};
+        use crate::{
+            run_campaign_fleet_recorded, CampaignConfig, Cell, FleetConfig, MaterialsSpace,
+            PlannerKind,
+        };
         use evoflow_agents::Pattern;
         use evoflow_sm::IntelligenceLevel;
         let space = MaterialsSpace::generate(3, 8, 20261017);
@@ -2345,7 +2313,10 @@ mod tests {
     /// A 3-admission service ledger whose dispatch order is not its
     /// admission order.
     fn service_ledger() -> (FleetReport, FleetLedger) {
-        use crate::{plan_service, run_service, CampaignConfig, Cell, TenantSpec};
+        use crate::{
+            plan_service, run_service, CampaignConfig, Cell, MaterialsSpace, ServiceConfig,
+            TenantSpec,
+        };
         let mut cfg = ServiceConfig::new(31);
         cfg.threads = 1;
         cfg.ingest_per_round = 100;

@@ -101,10 +101,7 @@ pub use fleet::{
 };
 pub use governance::{Action, AuditRecord, GovernanceEngine, Policy, Verdict};
 pub use ide::{panel, render_campaign, render_interventions, render_plane, render_trajectory};
-pub use ledger::wire::{
-    replay_fleet_ledger_bytes, replay_ledger_bytes, resume_campaign_fleet_recorded_bytes,
-    resume_service_bytes, WireEncodeStats,
-};
+pub use ledger::wire::{replay_fleet_ledger_bytes, replay_ledger_bytes, WireEncodeStats};
 pub use ledger::{
     replay_fleet_ledger, replay_ledger, CampaignEvent, CampaignLedger, EventBatch, FleetLedger,
     KnowledgeSink, LedgerEncoding, LedgerObserver, MetricsSink, ReplayError, ReplayOutcome,

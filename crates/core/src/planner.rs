@@ -6,14 +6,14 @@
 //! this layer existed, that axis was an inlined `match` inside
 //! [`run_campaign`](crate::campaign::run_campaign); now every level (and
 //! every optimizer in `evoflow-learn`) is a [`Planner`]: a policy that
-//! proposes a batch of [`Candidate`]s from the evidence visible to a lane
-//! and observes measured outcomes back.
+//! proposes a batch of [`Candidate`]s, from its own state and, if it asks,
+//! the campaign-wide best so far, and observes measured outcomes back.
 //!
 //! | Table 1 level | default planner | machinery |
 //! |---|---|---|
 //! | Static | [`GridPlanner`] | lazy deterministic grid walk |
 //! | Adaptive | [`AdaptivePlanner`] | re-sample near the last hit |
-//! | Learning | [`EvidencePlanner`] | Gaussian proposals around best visible evidence |
+//! | Learning | [`EvidencePlanner`] | Gaussian proposals around the campaign-wide best |
 //! | Optimizing | [`SurrogatePlanner`] | RBF surrogate + acquisition (`evoflow-learn`) |
 //! | Intelligent | [`AgenticPlanner`] | hypothesis agent + validation gate + Ω |
 //!
@@ -57,9 +57,9 @@ pub struct PlanCtx<'a> {
     pub lane: usize,
     /// The campaign's seeded decision stream.
     pub rng: &'a mut SimRng,
-    /// Best evidence visible to the lane under the composition's sharing
-    /// pattern. Only populated when [`Planner::wants_anchor`] returns
-    /// true — computing it costs a scan of the visible evidence windows.
+    /// The campaign-wide best evidence so far, the same for every lane
+    /// under every composition. Only populated when
+    /// [`Planner::wants_anchor`] returns true.
     pub anchor: Option<&'a Evidence>,
     /// Candidates the planner scored against a surrogate model while
     /// serving this call. Planners bump it whenever they run an
@@ -170,7 +170,7 @@ pub enum PlannerKind {
     Grid,
     /// Random sampling that re-samples near the lane's last hit (Adaptive).
     Adaptive,
-    /// Gaussian proposals around the best visible evidence (Learning).
+    /// Gaussian proposals around the campaign-wide best (Learning).
     Evidence,
     /// RBF-surrogate acquisition over random candidates (Optimizing).
     Surrogate,
@@ -374,7 +374,8 @@ pub struct PlannerBuild<'a> {
     pub batch_per_lane: usize,
     /// Number of parallel lanes.
     pub n_lanes: usize,
-    /// Whether all lanes see a shared evidence pool.
+    /// Whether the composition pools its lanes (pipeline, manager,
+    /// mesh): the grid planner then walks one shared cursor.
     pub shares_globally: bool,
 }
 
@@ -503,9 +504,9 @@ impl Planner for AdaptivePlanner {
     }
 }
 
-// ---- Learning: exploit best visible evidence --------------------------------
+// ---- Learning: exploit the campaign-wide best ------------------------------
 
-/// Gaussian proposals around the best evidence visible to the lane.
+/// Gaussian proposals around the campaign-wide best so far.
 pub struct EvidencePlanner;
 
 impl Planner for EvidencePlanner {

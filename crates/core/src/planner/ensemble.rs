@@ -282,7 +282,7 @@ impl EnsemblePlanner {
     }
 
     /// Best non-rederiving anchor from the frontier, the critique
-    /// evidence store, or the lane's shared-evidence anchor.
+    /// evidence store, or the campaign-wide best the loop lends.
     fn pick_anchor(&self, ctx: &PlanCtx<'_>) -> Option<Vec<f64>> {
         let best = self
             .frontier

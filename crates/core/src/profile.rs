@@ -31,8 +31,8 @@ use std::time::Instant;
 /// A phase of the recording hot path.
 ///
 /// The `propose` umbrella is additionally split into three sub-phases so
-/// profiles attribute *where* decision time goes: `propose.anchor` (the
-/// visible-evidence lookup), `propose.model` (the planner's own
+/// profiles attribute *where* decision time goes: `propose.anchor`
+/// (lending the campaign-wide best), `propose.model` (the planner's own
 /// `propose` call, surrogate math included), and `propose.score` (a
 /// counts-only tally of candidates scored against a surrogate — its
 /// scoring runs inside `propose.model`'s scope, so it carries no
@@ -50,7 +50,7 @@ pub enum Phase {
     Emit,
     /// Fleet executor task claiming (chunked CAS on the shared cursor).
     Steal,
-    /// Propose sub-phase: computing the best-visible-evidence anchor
+    /// Propose sub-phase: lending the campaign-wide best as the anchor
     /// (counted only on iterations whose planner wants one).
     ProposeAnchor,
     /// Propose sub-phase: the planner's `propose` call itself.

@@ -988,9 +988,7 @@ pub enum ServiceResumeError {
     /// The config itself no longer plans (see [`ServiceError`]).
     Plan(ServiceError),
     /// The checkpoint failed the resume handshake every fleet and service
-    /// checkpoint shares (slot = admission index), or its serialized
-    /// bytes were refused at the wire level
-    /// ([`resume_service_bytes`](crate::ledger::wire::resume_service_bytes)).
+    /// checkpoint shares (slot = admission index).
     Checkpoint(FleetResumeError),
 }
 

@@ -5,16 +5,16 @@
 //! applied to its per-slot lists. Each layer must refuse with the same
 //! [`FleetResumeError`] at the same slot — bare, or inside
 //! [`FederatedResumeError::Fleet`] or [`ServiceResumeError::Checkpoint`]
-//! — and the byte-level resume entry points must agree after a binary
-//! round trip.
+//! — and the same refusal must come back after a binary round trip
+//! through the checkpoint's `from_bytes`.
 
 use evoflow_core::{
     resume_campaign_fleet, resume_campaign_fleet_federated, resume_campaign_fleet_recorded,
-    resume_campaign_fleet_recorded_bytes, resume_service, resume_service_bytes,
-    run_campaign_fleet_federated_until, run_campaign_fleet_recorded_until,
+    resume_service, run_campaign_fleet_federated_until, run_campaign_fleet_recorded_until,
     run_campaign_fleet_until, run_service_until, CampaignConfig, CampaignLedger, CampaignReport,
-    Cell, FederatedConfig, FederatedResumeError, FleetConfig, FleetResumeError, LedgerEncoding,
-    MaterialsSpace, PlacementPolicyKind, ServiceConfig, ServiceResumeError, TenantSpec,
+    Cell, FederatedConfig, FederatedResumeError, FleetConfig, FleetLedgerCheckpoint,
+    FleetResumeError, LedgerEncoding, MaterialsSpace, PlacementPolicyKind, ServiceCheckpoint,
+    ServiceConfig, ServiceResumeError, TenantSpec,
 };
 use evoflow_sim::SimDuration;
 
@@ -142,9 +142,10 @@ fn recorded_fleet_refuses_each_fault_also_from_bytes() {
             expected,
             "{fault:?}"
         );
-        let bytes = ckpt.to_bytes(LedgerEncoding::Binary);
+        let decoded = FleetLedgerCheckpoint::from_bytes(&ckpt.to_bytes(LedgerEncoding::Binary))
+            .expect("a checkpoint decodes from its own bytes");
         assert_eq!(
-            resume_campaign_fleet_recorded_bytes(&space, &cfg, &bytes).unwrap_err(),
+            resume_campaign_fleet_recorded(&space, &cfg, &decoded).unwrap_err(),
             expected,
             "{fault:?} after a binary round trip"
         );
@@ -195,9 +196,10 @@ fn service_refuses_each_fault_as_a_checkpoint_refusal_also_from_bytes() {
             expected,
             "{fault:?}"
         );
-        let bytes = ckpt.to_bytes(LedgerEncoding::Binary);
+        let decoded = ServiceCheckpoint::from_bytes(&ckpt.to_bytes(LedgerEncoding::Binary))
+            .expect("a checkpoint decodes from its own bytes");
         assert_eq!(
-            resume_service_bytes(&space, &cfg, &bytes).unwrap_err(),
+            resume_service(&space, &cfg, &decoded).unwrap_err(),
             expected,
             "{fault:?} after a binary round trip"
         );

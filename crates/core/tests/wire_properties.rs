@@ -18,14 +18,16 @@
 //!
 //! Beside them, every decoder that falls back to legacy JSON refuses
 //! input nested past the JSON parser's depth limit with a typed error
-//! instead of overflowing the stack.
+//! instead of overflowing the stack, and answers a battery of mutated
+//! legacy-JSON ledgers (hostile numbers, broken escapes, truncations,
+//! trailing garbage, duplicate keys) with `Ok` or a typed error, never
+//! a panic.
 
 use evoflow_core::{
-    replay_fleet_ledger_bytes, replay_ledger_bytes, resume_campaign_fleet_recorded_bytes,
-    resume_service_bytes, run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger,
-    CampaignReport, Cell, FleetCheckpoint, FleetConfig, FleetLedger, FleetLedgerCheckpoint,
-    FleetResumeError, LedgerEncoding, MaterialsSpace, RejectReason, ReplayError, ServiceCheckpoint,
-    ServiceConfig, ServiceResumeError, WireError,
+    replay_fleet_ledger_bytes, replay_ledger_bytes, run_campaign_recorded, CampaignConfig,
+    CampaignEvent, CampaignLedger, CampaignReport, Cell, CoordinationMode, FleetCheckpoint,
+    FleetLedger, FleetLedgerCheckpoint, LedgerEncoding, MaterialsSpace, RejectReason, ReplayError,
+    ServiceCheckpoint, WireError,
 };
 use evoflow_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -462,8 +464,9 @@ proptest! {
 
 /// A 200 000-deep `[[…]]` (400 KB, no `EVWL` magic, so every decoder
 /// takes its legacy-JSON path) is refused as [`WireError::Json`] by every
-/// public decoder, replay and resume entry point — never a stack overflow
-/// that aborts the process.
+/// public decoder and byte replay — never a stack overflow that aborts
+/// the process. A resume decodes its checkpoint through the same
+/// `from_bytes`.
 #[test]
 fn deeply_nested_json_is_refused_by_every_decoder() {
     let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
@@ -483,13 +486,162 @@ fn deeply_nested_json_is_refused_by_every_decoder() {
         replay_fleet_ledger_bytes(bytes),
         Err(ReplayError::Corrupt(e)) if too_deep(&e)
     ));
-    let space = MaterialsSpace::generate(3, 8, 777);
-    assert!(matches!(
-        resume_service_bytes(&space, &ServiceConfig::new(1), bytes),
-        Err(ServiceResumeError::Checkpoint(FleetResumeError::Corrupt(e))) if too_deep(&e)
+}
+
+/// Numbers no ledger field holds: out of range for `u64`, `i64` or
+/// `f64`, spellings JSON does not have, and malformed tokens.
+const HOSTILE_NUMBERS: [&str; 15] = [
+    "1e400",
+    "-1e400",
+    "1e-400",
+    "18446744073709551616",
+    "340282366920938463463374607431768211456",
+    "-9223372036854775809",
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    "0x10",
+    "01",
+    "1e",
+    "-",
+    "1.",
+    "-0",
+];
+
+/// Escapes that break a string: lone and mispaired surrogates, a NUL, a
+/// short `\u`, an escape JSON does not have, and a bare backslash.
+const HOSTILE_ESCAPES: [&str; 8] = [
+    r"\ud800",
+    r"\udc00",
+    r"\ud800\ud800",
+    r"\ud800A",
+    r"\u0000",
+    r"\u12",
+    r"\x41",
+    r"\",
+];
+
+/// A small recorded campaign ledger's legacy JSON.
+fn small_ledger_json() -> Vec<u8> {
+    let space = MaterialsSpace::generate(2, 3, 11);
+    let mut cfg = CampaignConfig::for_cell(Cell::traditional_wms(), 5);
+    cfg.horizon = SimDuration::from_hours(1);
+    cfg.batch_per_lane = 1;
+    cfg.coordination = Some(CoordinationMode::Autonomous);
+    let (_, ledger) = run_campaign_recorded(&space, &cfg);
+    ledger.to_bytes(LedgerEncoding::Json)
+}
+
+/// The byte ranges of `json`'s number tokens, and the offsets just
+/// inside each quote (after an opening one, before a closing one), from
+/// one scan that steps over string contents.
+fn numbers_and_quotes(json: &[u8]) -> (Vec<std::ops::Range<usize>>, Vec<usize>) {
+    let (mut numbers, mut quotes) = (Vec::new(), Vec::new());
+    let mut i = 0;
+    while i < json.len() {
+        match json[i] {
+            b'"' => {
+                i += 1;
+                quotes.push(i);
+                while json[i] != b'"' {
+                    i += if json[i] == b'\\' { 2 } else { 1 };
+                }
+                quotes.push(i);
+                i += 1;
+            }
+            b'-' | b'0'..=b'9' => {
+                let start = i;
+                while i < json.len()
+                    && matches!(json[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                {
+                    i += 1;
+                }
+                numbers.push(start..i);
+            }
+            _ => i += 1,
+        }
+    }
+    (numbers, quotes)
+}
+
+/// `json` with `range` replaced by `with`.
+fn spliced(json: &[u8], range: std::ops::Range<usize>, with: &[u8]) -> Vec<u8> {
+    [&json[..range.start], with, &json[range.end..]].concat()
+}
+
+/// Every public decoder and byte replay, on one input; whether it
+/// decodes as a campaign ledger.
+fn decode_everywhere(bytes: &[u8]) -> bool {
+    let decoded = CampaignLedger::from_bytes(bytes).is_ok();
+    let _ = FleetLedger::from_bytes(bytes);
+    let _ = FleetLedgerCheckpoint::from_bytes(bytes);
+    let _ = ServiceCheckpoint::from_bytes(bytes);
+    let _ = replay_ledger_bytes(bytes);
+    let _ = replay_fleet_ledger_bytes(bytes);
+    decoded
+}
+
+/// A small recorded ledger's legacy JSON, mutated: each number token
+/// replaced by each hostile number, each hostile escape inserted inside
+/// each quote, trailing garbage, 200 truncations and duplicate keys.
+/// Every decoder and byte replay answers each input with `Ok` or a
+/// typed error; none panics.
+#[test]
+fn mutated_legacy_json_never_panics_a_decoder() {
+    let json = small_ledger_json();
+    assert!(CampaignLedger::from_bytes(&json).is_ok());
+    assert!(replay_ledger_bytes(&json).is_ok());
+    let (numbers, quotes) = numbers_and_quotes(&json);
+    assert!(
+        numbers.len() >= 40 && quotes.len() >= 40,
+        "ledger too small"
+    );
+
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+    for (n, span) in numbers.iter().enumerate() {
+        for number in HOSTILE_NUMBERS {
+            let input = spliced(&json, span.clone(), number.as_bytes());
+            cases.push((format!("number {n} as {number}"), input));
+        }
+    }
+    for &q in &quotes {
+        for escape in HOSTILE_ESCAPES {
+            let input = spliced(&json, q..q, escape.as_bytes());
+            cases.push((format!("{escape} at byte {q}"), input));
+        }
+    }
+    for tail in ["x", ",", "]", "}", "{}", " null", "\0", "\u{feff}"] {
+        cases.push((
+            format!("trailing {tail:?}"),
+            [&json[..], tail.as_bytes()].concat(),
+        ));
+    }
+    for k in 0..200 {
+        let cut = k * json.len() / 200;
+        cases.push((format!("cut at byte {cut}"), json[..cut].to_vec()));
+    }
+    let seed = json
+        .windows(7)
+        .position(|w| w == b"\"seed\":")
+        .expect("the ledger records its seed");
+    cases.push((
+        "duplicate seed".into(),
+        spliced(&json, seed..seed, b"\"seed\":0,"),
     ));
-    assert!(matches!(
-        resume_campaign_fleet_recorded_bytes(&space, &FleetConfig::new(1), bytes),
-        Err(FleetResumeError::Corrupt(e)) if too_deep(&e)
+    cases.push((
+        "duplicate events".into(),
+        spliced(&json, 1..1, b"\"events\":[],"),
     ));
+
+    let (mut decoded, mut panicked) = (0, Vec::new());
+    for (label, input) in &cases {
+        match std::panic::catch_unwind(|| decode_everywhere(input)) {
+            Ok(ok) => decoded += usize::from(ok),
+            Err(_) => panicked.push(label.as_str()),
+        }
+    }
+    assert!(panicked.is_empty(), "a decoder panicked on {panicked:?}");
+    // Some mutations (`-0`, `1e-400`, an escape inside a string) still
+    // decode, so the battery reaches the typed decode and the replay.
+    assert!(decoded > 0, "every mutation stopped at the parser");
 }

@@ -80,7 +80,13 @@ fn main() {
             .iter()
             .find(|c| c.params == plan.params)
             .expect("plan came from a candidate");
-        let key = librarian.record_iteration(cand, score, hypothesis.usage(), space.threshold);
+        let key = librarian.record_iteration(
+            &cand.rationale,
+            cand.hallucinated,
+            score,
+            hypothesis.usage(),
+            space.threshold,
+        );
         println!(
             "  measured {:?} -> score {score:.3} recorded as {key}",
             plan.params
