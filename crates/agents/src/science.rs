@@ -76,7 +76,7 @@ impl HypothesisAgent {
     pub fn propose(&mut self, evidence: &[Evidence], n: usize) -> Vec<Candidate> {
         let anchor = evidence
             .iter()
-            .max_by(|a, b| a.score.partial_cmp(&b.score).expect("finite scores"))
+            .max_by(|a, b| a.score.total_cmp(&b.score))
             .map(|e| e.params.as_slice());
         self.propose_anchored(anchor, n)
     }
@@ -137,7 +137,7 @@ impl LiteratureAgent {
             .model
             .complete("survey literature", 32, evoflow_cogsim::SCIENCE_LEXICON);
         let mut sorted = self.corpus.clone();
-        sorted.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+        sorted.sort_by(|a, b| b.score.total_cmp(&a.score));
         sorted.truncate(n);
         sorted
     }
@@ -224,7 +224,9 @@ impl DesignAgent {
             }
         }
         let repetitions = if candidate.confidence < 0.5 { 3 } else { 1 };
-        let anneal = SimDuration::from_mins(20 + (candidate.params[0] * 40.0) as u64);
+        // A 0-d design space has no first parameter: the shortest anneal.
+        let first = candidate.params.first().copied().unwrap_or(0.0);
+        let anneal = SimDuration::from_mins(20 + (first * 40.0) as u64);
         Ok(ExperimentPlan {
             params: candidate.params.clone(),
             repetitions,

@@ -70,11 +70,16 @@
 //!
 //! ## Writing
 //!
-//! One body writer serves a whole container, clearing (not freeing) its
+//! One body writer encodes a run of bodies, clearing (not freeing) its
 //! borrowed-key intern table between bodies. A body's header needs only
 //! its event count, so header and sealed segments go straight into the
-//! container's one output buffer, behind a gap that the envelope and
-//! section close once the body lengths are known.
+//! writer's buffer. A container cuts its bodies into contiguous runs of
+//! about equal event count, a few per worker, and encodes the runs on the
+//! fleet executor, each into its own buffer, as replay folds them. The
+//! calling thread appends the runs, in order, to the container's one
+//! output buffer, behind a gap that the envelope and section close once
+//! the body lengths are known. Every body restarts its intern table, so
+//! the bytes are the same at any worker count.
 //!
 //! ## Reading
 //!
@@ -102,7 +107,10 @@ use super::{
     ReplayOutcome,
 };
 use crate::campaign::CampaignReport;
-use crate::fleet::{FleetCheckpoint, FleetLedgerCheckpoint, FleetReport};
+use crate::fleet::{
+    execute_fleet_tasks_steal_timed, worker_threads, FleetCheckpoint, FleetLedgerCheckpoint,
+    FleetReport,
+};
 use crate::service::{RejectReason, ServiceCheckpoint};
 use evoflow_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -1322,29 +1330,54 @@ fn check_envelope(bytes: &[u8], kind: u8) -> Result<&[u8], WireError> {
     Ok(&bytes[6..])
 }
 
-/// Encode a container of `kind`: the envelope, the CRC32-sealed section
-/// that `section` writes given the body lengths, then the bodies back to
-/// back. Every body goes through one [`BodyWriter`] straight into the
-/// output, behind a gap reserved for a section of `section_guess` bytes;
-/// once the lengths are known, the envelope and section close the gap in
-/// place (a section of another size moves the bodies once).
-fn encode_container<'a>(
+/// Runs of bodies per encode worker: enough that a worker finishing early
+/// steals work, few enough that little waits in flight.
+const RUNS_PER_WORKER: usize = 4;
+
+/// Bytes reserved per event in an encode buffer. Recorded ledgers cost
+/// 26.5–28.4 bytes per event, so a buffer rarely grows.
+const RESERVE_PER_EVENT: usize = 32;
+
+/// Encode a container of `kind` on `threads` workers (0 = one per host
+/// core): the envelope, the CRC32-sealed section that `section` writes
+/// given the body lengths, then the bodies back to back.
+///
+/// The bodies are cut into contiguous runs of about equal event count, a
+/// few per worker, and the fleet executor encodes each run through its
+/// own [`BodyWriter`] into its own buffer. Runs are delivered in order,
+/// and the calling thread appends each one to the output behind a gap
+/// reserved for a section of `section_guess` bytes; once the lengths are
+/// known, the envelope and section close the gap in place (a section of
+/// another size moves the bodies once). Every body restarts its intern
+/// table, so the bytes do not depend on the runs or the worker count.
+fn encode_container(
     kind: u8,
     section_guess: usize,
-    bodies: impl IntoIterator<Item = &'a [CampaignEvent]>,
+    bodies: &[&[CampaignEvent]],
+    threads: usize,
     section: impl FnOnce(Vec<usize>, &mut Vec<u8>),
 ) -> Vec<u8> {
     let gap = 6 + varint_width(section_guess as u64) + section_guess + 4;
-    let mut out = vec![0; gap];
-    let mut writer = BodyWriter::default();
-    let lens = bodies
-        .into_iter()
-        .map(|events| {
-            let start = out.len();
-            writer.write(events, &mut out);
-            out.len() - start
-        })
-        .collect();
+    let events: usize = bodies.iter().map(|b| b.len()).sum();
+    let mut out = Vec::with_capacity(gap + events * RESERVE_PER_EVENT);
+    out.resize(gap, 0);
+    let mut lens = Vec::with_capacity(bodies.len());
+    let runs = split_runs(
+        bodies,
+        worker_threads(threads, bodies.len()) * RUNS_PER_WORKER,
+    );
+    let tasks: Vec<_> = runs.into_iter().enumerate().collect();
+    execute_fleet_tasks_steal_timed(
+        &tasks,
+        worker_threads(threads, tasks.len()),
+        None,
+        false,
+        |run| encode_run(run),
+        |_, (bytes, run_lens)| {
+            out.extend_from_slice(&bytes);
+            lens.extend(run_lens);
+        },
+    );
     let mut scalars = Vec::new();
     section(lens, &mut scalars);
     let mut head = Vec::with_capacity(gap);
@@ -1352,6 +1385,46 @@ fn encode_container<'a>(
     put_section(&mut head, &scalars);
     out.splice(..gap, head);
     out
+}
+
+/// Cut `bodies` into at most `count` contiguous, non-empty runs of about
+/// equal event count. A body weighs its events plus one, so empty bodies
+/// are spread too.
+fn split_runs<'b, 'a>(
+    bodies: &'b [&'a [CampaignEvent]],
+    count: usize,
+) -> Vec<&'b [&'a [CampaignEvent]]> {
+    let weight = |body: &[CampaignEvent]| body.len() + 1;
+    let total: usize = bodies.iter().map(|b| weight(b)).sum();
+    let mut runs = Vec::with_capacity(count);
+    let (mut start, mut weighed) = (0, 0);
+    for (i, body) in bodies.iter().enumerate() {
+        weighed += weight(body);
+        // Close the run that reaches its share; only the last body
+        // reaches the last share, so it always closes a run.
+        if weighed * count >= total * (runs.len() + 1) {
+            runs.push(&bodies[start..=i]);
+            start = i + 1;
+        }
+    }
+    runs
+}
+
+/// Encode one run of bodies through its own [`BodyWriter`] into its own
+/// buffer, returning the bytes and each body's length.
+fn encode_run(bodies: &[&[CampaignEvent]]) -> (Vec<u8>, Vec<usize>) {
+    let events: usize = bodies.iter().map(|b| b.len()).sum();
+    let mut out = Vec::with_capacity(events * RESERVE_PER_EVENT);
+    let mut writer = BodyWriter::default();
+    let lens = bodies
+        .iter()
+        .map(|events| {
+            let start = out.len();
+            writer.write(events, &mut out);
+            out.len() - start
+        })
+        .collect();
+    (out, lens)
 }
 
 /// Encode a checkpoint container (both kinds share one shape: per-slot
@@ -1367,9 +1440,15 @@ fn encode_checkpoint(
     completed: &[Option<CampaignReport>],
     ledgers: &[Option<CampaignLedger>],
     events: &[CampaignEvent],
+    threads: usize,
 ) -> Vec<u8> {
-    let bodies = ledgers.iter().flatten().map(|l| &l.events[..]);
-    encode_container(kind, 0, bodies.chain([events]), |mut lens, section| {
+    let bodies: Vec<&[CampaignEvent]> = ledgers
+        .iter()
+        .flatten()
+        .map(|l| &l.events[..])
+        .chain([events])
+        .collect();
+    encode_container(kind, 0, &bodies, threads, |mut lens, section| {
         let events_len = lens.pop().expect("the trailing stream's body comes last");
         let mut lens = lens.into_iter();
         let ledger_lens: Vec<Option<usize>> = ledgers
@@ -1481,19 +1560,23 @@ impl FleetLedger {
     pub fn to_bytes(&self, encoding: LedgerEncoding) -> Vec<u8> {
         match encoding {
             LedgerEncoding::Json => json_bytes(self),
-            LedgerEncoding::Binary => {
-                // A gap sized for two-byte body lengths (bodies of 128 B
-                // to 16 KiB) closes without moving a byte.
-                let n = self.campaigns.len();
-                let guess = varint_width(self.master_seed) + varint_width(n as u64) + 2 * n;
-                let bodies = self.campaigns.iter().map(|c| &c.events[..]);
-                encode_container(KIND_FLEET, guess, bodies, |lens, section| {
-                    let strings = &mut InternWriter::default();
-                    self.master_seed.put(section, strings);
-                    lens.put(section, strings);
-                })
-            }
+            LedgerEncoding::Binary => self.binary_on(0),
         }
+    }
+
+    /// The kind-1 bytes, encoded on `threads` workers (0 = one per host
+    /// core).
+    fn binary_on(&self, threads: usize) -> Vec<u8> {
+        // A gap sized for two-byte body lengths (bodies of 128 B to
+        // 16 KiB) closes without moving a byte.
+        let n = self.campaigns.len();
+        let guess = varint_width(self.master_seed) + varint_width(n as u64) + 2 * n;
+        let bodies: Vec<&[CampaignEvent]> = self.campaigns.iter().map(|c| &c.events[..]).collect();
+        encode_container(KIND_FLEET, guess, &bodies, threads, |lens, section| {
+            let strings = &mut InternWriter::default();
+            self.master_seed.put(section, strings);
+            lens.put(section, strings);
+        })
     }
 
     /// Decode from either encoding, sniffed via [`LedgerEncoding::detect`].
@@ -1536,15 +1619,22 @@ impl FleetLedgerCheckpoint {
     pub fn to_bytes(&self, encoding: LedgerEncoding) -> Vec<u8> {
         match encoding {
             LedgerEncoding::Json => json_bytes(self),
-            LedgerEncoding::Binary => encode_checkpoint(
-                KIND_FLEET_CHECKPOINT,
-                self.fleet.master_seed,
-                &self.fleet.shard_seeds,
-                &self.fleet.completed,
-                &self.ledgers,
-                &self.events,
-            ),
+            LedgerEncoding::Binary => self.binary_on(0),
         }
+    }
+
+    /// The kind-2 bytes, encoded on `threads` workers (0 = one per host
+    /// core).
+    fn binary_on(&self, threads: usize) -> Vec<u8> {
+        encode_checkpoint(
+            KIND_FLEET_CHECKPOINT,
+            self.fleet.master_seed,
+            &self.fleet.shard_seeds,
+            &self.fleet.completed,
+            &self.ledgers,
+            &self.events,
+            threads,
+        )
     }
 
     /// Decode from either encoding, sniffed via [`LedgerEncoding::detect`].
@@ -1572,15 +1662,22 @@ impl ServiceCheckpoint {
     pub fn to_bytes(&self, encoding: LedgerEncoding) -> Vec<u8> {
         match encoding {
             LedgerEncoding::Json => json_bytes(self),
-            LedgerEncoding::Binary => encode_checkpoint(
-                KIND_SERVICE_CHECKPOINT,
-                self.master_seed,
-                &self.seeds,
-                &self.completed,
-                &self.ledgers,
-                &self.events,
-            ),
+            LedgerEncoding::Binary => self.binary_on(0),
         }
+    }
+
+    /// The kind-3 bytes, encoded on `threads` workers (0 = one per host
+    /// core).
+    fn binary_on(&self, threads: usize) -> Vec<u8> {
+        encode_checkpoint(
+            KIND_SERVICE_CHECKPOINT,
+            self.master_seed,
+            &self.seeds,
+            &self.completed,
+            &self.ledgers,
+            &self.events,
+            threads,
+        )
     }
 
     /// Decode from either encoding, sniffed via [`LedgerEncoding::detect`].
@@ -2217,8 +2314,102 @@ mod tests {
         }
     }
 
-    /// The worker counts every fleet-replay test folds at.
+    /// The worker counts every fleet-encode and fleet-replay test runs at.
     const THREADS: [usize; 3] = [1, 2, 4];
+
+    #[test]
+    fn runs_cover_every_body_once_in_order_and_about_equally() {
+        let events = sample_events();
+        let bodies: Vec<&[CampaignEvent]> = (0..40)
+            .map(|i: usize| &events[..(i * i) % (events.len() + 1)])
+            .collect();
+        let weight = |run: &[&[CampaignEvent]]| run.iter().map(|b| b.len() + 1).sum::<usize>();
+        let heaviest = events.len() + 1;
+        for count in [1, 2, 3, 8, 16, 40, 64] {
+            let runs = split_runs(&bodies, count);
+            assert!(runs.len() <= count, "{count} runs");
+            let mut next = 0;
+            for run in &runs {
+                assert!(!run.is_empty(), "{count} runs");
+                assert!(std::ptr::eq(run.as_ptr(), bodies[next..].as_ptr()));
+                assert!(weight(run) <= weight(&bodies).div_ceil(count) + heaviest);
+                next += run.len();
+            }
+            assert_eq!(next, bodies.len(), "{count} runs");
+        }
+        assert!(split_runs(&[], 8).is_empty());
+    }
+
+    #[test]
+    fn containers_encode_alike_at_any_worker_count() {
+        // 70 campaigns of 0 to 4 rounds of every tag: campaigns of one
+        // string length share every string, and at 4 workers each of the
+        // 16 runs holds several of them, so a run whose bodies shared one
+        // intern table would write other bytes.
+        let campaigns: Vec<CampaignLedger> = (0..70u64)
+            .map(|i| CampaignLedger {
+                events: (0..i % 5)
+                    .flat_map(|round| {
+                        every_tag(round, (i % 3) as usize, "a shared rationale of words")
+                    })
+                    .collect(),
+            })
+            .collect();
+        let fleet = FleetLedger {
+            master_seed: 70,
+            campaigns,
+        };
+        let ledgers: Vec<Option<CampaignLedger>> = fleet
+            .campaigns
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (i % 3 != 1).then(|| c.clone()))
+            .collect();
+        let seeds: Vec<u64> = (0..ledgers.len() as u64).collect();
+        let completed = vec![None; ledgers.len()];
+        let events = fleet.campaigns[4].events.clone();
+        let service = ServiceCheckpoint {
+            master_seed: 70,
+            seeds: seeds.clone(),
+            completed: completed.clone(),
+            ledgers: ledgers.clone(),
+            events: events.clone(),
+        };
+        let checkpoint = FleetLedgerCheckpoint {
+            fleet: FleetCheckpoint {
+                master_seed: 70,
+                shard_seeds: seeds,
+                completed,
+            },
+            ledgers,
+            events,
+        };
+        let serial = fleet.binary_on(1);
+        assert_eq!(FleetLedger::from_bytes(&serial).as_ref(), Ok(&fleet));
+        let serial_checkpoint = checkpoint.binary_on(1);
+        assert_eq!(
+            FleetLedgerCheckpoint::from_bytes(&serial_checkpoint).as_ref(),
+            Ok(&checkpoint)
+        );
+        let serial_service = service.binary_on(1);
+        assert_eq!(
+            ServiceCheckpoint::from_bytes(&serial_service).as_ref(),
+            Ok(&service)
+        );
+        for threads in THREADS {
+            assert_eq!(fleet.binary_on(threads), serial, "{threads} workers");
+            assert_eq!(
+                checkpoint.binary_on(threads),
+                serial_checkpoint,
+                "{threads} workers"
+            );
+            assert_eq!(
+                service.binary_on(threads),
+                serial_service,
+                "{threads} workers"
+            );
+        }
+    }
 
     /// Record a fleet of `campaigns` small campaigns cycling agentic,
     /// ensemble (both record knowledge) and Learning-level (which does

@@ -289,7 +289,7 @@ impl EnsemblePlanner {
             .iter()
             .chain(self.evidence.iter())
             .filter(|e| !self.is_rederivation(&e.params))
-            .max_by(|a, b| a.score.partial_cmp(&b.score).expect("finite scores"));
+            .max_by(|a, b| a.score.total_cmp(&b.score));
         if let Some(e) = best {
             return Some(e.params.clone());
         }
@@ -425,6 +425,10 @@ impl Planner for EnsemblePlanner {
         self.pool_preds.clear();
         self.analysis
             .predict_batch(ctx.dim, &self.pool_flat, &mut self.pool_preds);
+        // A 0-d pool flattens to nothing, so the batch predicts no
+        // candidate. Such a space scores 0/0 everywhere and its surrogate
+        // never takes an observation, so each candidate gets the prior.
+        self.pool_preds.resize(pool.len(), (0.0, 1.0));
         ctx.scored += pool.len() as u64;
         let critiques: Vec<_> = pool
             .iter()

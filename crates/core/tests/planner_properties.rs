@@ -13,8 +13,8 @@
 
 use evoflow_agents::Pattern;
 use evoflow_core::{
-    resume_campaign_fleet, run_campaign, run_campaign_fleet, run_campaign_fleet_until,
-    CampaignConfig, Cell, FleetConfig, MaterialsSpace, PlannerKind,
+    resume_campaign_fleet, run_campaign, run_campaign_fleet, run_campaign_fleet_until, run_service,
+    CampaignConfig, Cell, FleetConfig, MaterialsSpace, PlannerKind, ServiceConfig, TenantSpec,
 };
 use evoflow_sim::SimDuration;
 use evoflow_sm::IntelligenceLevel;
@@ -50,6 +50,30 @@ fn planned_config(planner: PlannerKind, pattern: Pattern, seed: u64, days: u64) 
     cfg.coordination = Some(evoflow_core::CoordinationMode::Autonomous);
     cfg.max_experiments = 3_000;
     cfg
+}
+
+/// Non-finite scores rank without a panic: on a 0-d space every latent
+/// score is 0/0, and under NaN noise every measured score is NaN. Every
+/// planner kind runs a simulated day on each space alone and within one
+/// service session.
+#[test]
+fn every_planner_survives_non_finite_scores() {
+    let mut noisy = space();
+    noisy.noise_sd = f64::NAN;
+    for space in [MaterialsSpace::generate(0, 8, 1), noisy] {
+        let mut service = ServiceConfig::new(5);
+        service.threads = 2;
+        service.push_tenant(TenantSpec::new("lab"));
+        for planner in all_planners() {
+            let cfg = planned_config(planner, Pattern::Mesh, 11, 1);
+            let label = cfg.effective_planner().descriptor();
+            let report = run_campaign(&space, &cfg);
+            assert!(report.experiments > 0, "{label} on {} dims", space.dim());
+            service.submit("lab", cfg);
+        }
+        let (report, _) = run_service(&space, &service).expect("valid service config");
+        assert_eq!(report.fleet.reports.len(), all_planners().len());
+    }
 }
 
 /// Exhaustive (not sampled): every planner × every composition pattern

@@ -118,7 +118,7 @@ impl BanditPolicy for Ucb1 {
             .max_by(|&a, &b| {
                 let ucb =
                     |i: usize| self.mean(i) + self.c * (t.ln() / self.stats[i].pulls as f64).sqrt();
-                ucb(a).partial_cmp(&ucb(b)).expect("finite ucb")
+                ucb(a).total_cmp(&ucb(b))
             })
             .expect("at least one arm")
     }
